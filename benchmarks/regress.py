@@ -55,11 +55,7 @@ ABS_SLACK_S = 0.010
 # that batch_prefix routes through the vectorized doubling scan), E6
 # ~2.8x.  Floors sit under the measured ratios; E5's keeps extra slack
 # because that cell's ratio is the noisiest (smallest absolute times).
-# E14 is the multicore gate and its ratio is *parallel-w4 over flat*
-# (steady-state full-leaf contraction rounds; re-measured on the PR 10
-# refresh at 1.73-1.86x over four runs — floor raised 1.5 -> 1.65 to
-# sit just under the worst observed run).
-MIN_SPEEDUPS = {"E4": 2.0, "E5": 1.3, "E6": 2.5, "E14": 1.65}
+MIN_SPEEDUPS = {"E4": 2.0, "E5": 1.3, "E6": 2.5}
 
 # Resilience-overhead ceiling for R1 cells: with fault rate 0 and light
 # detection the checkpointed path may cost at most 10% over the bare
@@ -128,26 +124,17 @@ def gate_failures(current: Dict[str, Any]) -> List[str]:
     by_key = {key_of(e): e for e in current["cells"]}
     for exp, cell in sorted(perf_harness.GATE_CELLS.items()):
         floor = MIN_SPEEDUPS[exp]
-        if exp == "E14":
-            # The multicore gate: parallel-w4 wall-clock over flat.
-            backends = ("flat", "parallel-w4")
-            slow, fast = backends
-            label = "parallel-w4 over flat"
-        else:
-            backends = ("reference", "flat")
-            slow, fast = backends
-            label = "flat over reference"
         pick = {}
-        for backend in backends:
+        for backend in ("reference", "flat"):
             entry = by_key.get(f"{exp}:n={cell['n']}:u={cell['u']}:{backend}")
             if entry is not None:
                 pick[backend] = entry["wall_clock_s"]
         if len(pick) < 2:
             continue  # gate cell not in this run's subset
-        ratio = pick[slow] / pick[fast]
+        ratio = pick["reference"] / pick["flat"]
         status = "OK" if ratio >= floor else "REGRESSION"
         print(
-            f"{status:>10}  {exp} gate speedup ({label}) "
+            f"{status:>10}  {exp} gate speedup (flat over reference) "
             f"{ratio:.3f}x (floor {floor}x)"
         )
         if ratio < floor:

@@ -63,12 +63,9 @@ class DynamicTreeContraction:
         RBSTS randomness seed.
     backend:
         RBSTS backend for the contraction parse tree: ``"reference"``
-        (pointer graph), ``"flat"``
-        (:class:`~repro.perf.flat_rbsts.FlatRBSTS`) or ``"parallel"``
-        (flat core with shared-memory label slabs and a worker-pool
-        heal engine — :class:`~repro.perf.parallel.ParallelContraction`;
-        pool size via ``workers=``).  Same seed gives the same PT
-        shapes, hence the same rake schedule and values.
+        (pointer graph) or ``"flat"``
+        (:class:`~repro.perf.flat_rbsts.FlatRBSTS`).  Same seed gives
+        the same PT shapes, hence the same rake schedule and values.
     """
 
     def __init__(
@@ -77,14 +74,12 @@ class DynamicTreeContraction:
         *,
         seed: int = 0,
         backend: str = "reference",
-        workers: Optional[int] = None,
     ) -> None:
         self.tree = tree
         self.backend = backend
-        self._flatlike = backend in ("flat", "parallel")
+        self._flat = backend == "flat"
         leaf_ids = [leaf.nid for leaf in tree.leaves_in_order()]
-        pt_kwargs = {} if workers is None else {"workers": workers}
-        self.pt = RBSTS(leaf_ids, seed=seed, backend=backend, **pt_kwargs)
+        self.pt = RBSTS(leaf_ids, seed=seed, backend=backend)
         # T-leaf id -> RBSTS leaf handle (kept in sync across updates).
         self.handle: Dict[int, BSTNode] = {
             h.item: h for h in self.pt.leaves()
@@ -93,13 +88,7 @@ class DynamicTreeContraction:
         # set_leaf_label/set_rake_op/heal/death_record/removal_kind),
         # pinned by lint rule R003 and the differential fuzzer.
         self.trace: Any
-        if backend == "parallel":
-            from ..perf.parallel.contraction import ParallelContraction
-
-            self.trace = ParallelContraction(
-                tree.ring, workers=workers
-            ).replay(tree, self._schedule())
-        elif backend == "flat":
+        if backend == "flat":
             from ..perf.flat_contraction import FlatContraction
 
             self.trace = FlatContraction(tree.ring).replay(
@@ -815,7 +804,7 @@ class DynamicTreeContraction:
         backend-appropriate traversal (a
         :class:`~repro.contraction.schedule.FlatSchedule` for the flat
         backend — same raked stream, no per-event objects)."""
-        if self._flatlike:
+        if self._flat:
             return build_flat_schedule(self.pt)
         return build_schedule(self.pt.root)
 
@@ -823,7 +812,7 @@ class DynamicTreeContraction:
         """Memoised replay: re-derive RT, reusing every event outside
         the wound.  ``fresh_nodes`` is the measured wound size."""
         old = self.trace
-        if self._flatlike:
+        if self._flat:
             self.trace = old.replay(self.tree, self._schedule())
         else:
             self.trace = build_trace(self.tree, self._schedule(), old=old)

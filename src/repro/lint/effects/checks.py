@@ -13,12 +13,6 @@
   the store.  Findings are cross-checked against the snapshot coverage
   universe so the message says whether the escaping state is even
   restorable.
-* **R203** — worker purity: code reachable from the parallel engine's
-  chunk kernels may only write slab columns; RNG draws (even
-  sanctioned), process spawns, persistence and node/non-slab mutation
-  are all findings.  This is the static companion to the EREW commit
-  barrier — a worker whose closure is pure cannot race the round's
-  exclusive-write audit.
 * **R204** — transaction discipline: (a) mutations inside a
   ``txn_begin``…commit bracket that target state outside the snapshot
   coverage universe (rollback would silently lose them); (b) ``except``
@@ -33,30 +27,15 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 from ..engine import Finding
 from .graph import EffectGraph, SourcedAtom
 from .model import (
-    KIND_GLOBAL_RNG,
-    KIND_IO,
     KIND_MUT_COL,
     KIND_MUT_NODE,
     KIND_MUT_OTHER,
-    KIND_RNG,
-    KIND_SPAWN,
     NONDET_KINDS,
     Atom,
     ModuleSummary,
 )
 
 __all__ = ["EffectPolicy", "run_checks"]
-
-_WORKER_FORBIDDEN = frozenset(
-    {
-        KIND_RNG,
-        KIND_GLOBAL_RNG,
-        KIND_SPAWN,
-        KIND_IO,
-        KIND_MUT_NODE,
-        KIND_MUT_OTHER,
-    }
-)
 
 
 class EffectPolicy:
@@ -67,14 +46,12 @@ class EffectPolicy:
     def __init__(
         self,
         entries: Sequence[Tuple[str, str, str, Tuple[str, ...]]],
-        worker_roots: Sequence[Tuple[str, str]],
         txn_guards: Mapping[str, str],
         allowlist: Mapping[str, Mapping[str, str]],
         columns: FrozenSet[str],
         node_fields: FrozenSet[str],
     ) -> None:
         self.entries = tuple(entries)
-        self.worker_roots = tuple(worker_roots)
         self.txn_guards = dict(txn_guards)
         self.allowlist = {r: dict(m) for r, m in allowlist.items()}
         self.columns = columns
@@ -89,7 +66,6 @@ def run_checks(
     findings: List[Finding] = []
     findings.extend(_check_r201(graph, policy))
     findings.extend(_check_r202(graph, policy))
-    findings.extend(_check_r203(graph, policy))
     findings.extend(_check_r204(graph, policy))
     kept: List[Finding] = []
     for f in findings:
@@ -245,47 +221,6 @@ def _check_r202(
                     f"{_entry_label(entry)} with no snapshot/journal "
                     f"seam on the path {' -> '.join(chain)}; the state "
                     f"is {coverage}",
-                )
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# R203 — worker purity
-# ---------------------------------------------------------------------------
-
-
-def _check_r203(
-    graph: EffectGraph, policy: EffectPolicy
-) -> List[Finding]:
-    out: List[Finding] = []
-    for path, qual in policy.worker_roots:
-        fid = f"{path}::{qual}"
-        if fid not in graph.functions:
-            out.append(
-                _finding(
-                    "R203",
-                    path,
-                    0,
-                    f"configured worker kernel root {qual} not found "
-                    "(registry drift)",
-                )
-            )
-            continue
-        pred = graph.reachable([fid])
-        for owner, atom in graph.atoms_in(pred, _WORKER_FORBIDDEN):
-            if _allowed(policy, "R203", owner):
-                continue
-            opath, oqual = _owner_path(owner)
-            out.append(
-                _finding(
-                    "R203",
-                    opath,
-                    atom.line,
-                    f"impure effect {atom.kind}:{atom.detail} in {oqual} "
-                    f"is reachable from worker kernel {qual} "
-                    f"(via {' -> '.join(graph.path_to(pred, owner))}); "
-                    "worker closures may only write slab columns",
                 )
             )
     return out

@@ -5,9 +5,8 @@ hides a bug, a spurious edge costs at worst an allowlist entry):
 
 * ``self.m()`` resolves to **every** class in the receiver class's
   inheritance component that defines ``m``.  The component is the
-  undirected closure of base-class links, so the reference→flat→
-  parallel subclass shims dispatch through every override — a call in
-  ``FlatRBSTS`` reaches the ``ParallelRBSTS`` override and vice versa.
+  undirected closure of base-class links, so a call in a base class
+  reaches every subclass override and vice versa.
 * ``f()`` resolves through nested defs, module functions, from-imports
   and class constructors (``Class()`` → ``Class.__init__``).
 * ``x.m()`` (duck) resolves to every analyzed class defining ``m`` —
@@ -238,7 +237,7 @@ class EffectGraph:
         self, path: str, class_name: str, method: str
     ) -> Optional[str]:
         """Entry-point fid, following inheritance for methods a subclass
-        backend (e.g. ``ParallelRBSTS``) inherits rather than defines."""
+        inherits rather than defines."""
         if not class_name:
             fid = self._module_funcs.get((path, method))
             return fid

@@ -1,4 +1,4 @@
-"""Data model for the interprocedural effect analysis (R201-R204).
+"""Data model for the interprocedural effect analysis (R201/R202/R204).
 
 Everything here is a plain, JSON-round-trippable value object: the
 per-file extraction (:mod:`repro.lint.effects.extract`) produces one
@@ -103,8 +103,7 @@ class CallDesc:
     ``kind`` is how the callee was spelled:
 
     * ``"self"`` — ``self.m(...)`` (resolve across the receiver class's
-      inheritance component, so the reference→flat→parallel subclass
-      shims dispatch to every override);
+      inheritance component, so subclass overrides are all reached);
     * ``"name"`` — ``f(...)`` (resolve against nested defs, module
       functions, from-imports, then classes → ``__init__``);
     * ``"class"`` — ``ClassName.m(...)``;

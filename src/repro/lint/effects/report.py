@@ -2,7 +2,7 @@
 
 ``run_effects(root, targets, config)`` is the whole pipeline: discover
 files, extract (through the hash-keyed cache), link, propagate, check
-R201-R204, and wrap the result in an :class:`EffectsReport` whose
+R201/R202/R204, and wrap the result in an :class:`EffectsReport` whose
 ``to_json`` emits the ``repro-effects/1`` document CI uploads as an
 artifact.  The per-function section of the report is the analysis's
 public byproduct: every function's local atoms, resolved out-edges and
@@ -71,7 +71,6 @@ def _policy_from_config(config: LintConfig) -> EffectPolicy:
             (e.path, e.class_name, e.method, e.rules)
             for e in config.effect_entries
         ],
-        worker_roots=config.worker_kernel_roots,
         txn_guards=config.txn_guards,
         allowlist=config.effect_allowlist,
         columns=config.effect_columns,

@@ -73,27 +73,7 @@ class BackendParityRule(Rule):
                 pair, ref_mod, flat_mod, ref, flat
             )
             return
-        base_members: Optional[Dict[str, _Member]] = None
-        if pair.flat_base is not None:
-            base_path, base_name = pair.flat_base
-            base_mod = ctx.module(base_path)
-            base = (
-                _find_symbol(base_mod, base_name)
-                if base_mod is not None
-                else None
-            )
-            if not isinstance(base, ast.ClassDef):
-                yield self.finding(
-                    flat_mod,
-                    flat,
-                    f"parity pair {pair.name!r}: flat_base class "
-                    f"{base_name!r} not found in {base_path}",
-                )
-                return
-            base_members = _public_members(base)
-        yield from self._compare_classes(
-            pair, ref_mod, flat_mod, ref, flat, base_members
-        )
+        yield from self._compare_classes(pair, ref_mod, flat_mod, ref, flat)
 
     def _compare_functions(
         self,
@@ -124,15 +104,11 @@ class BackendParityRule(Rule):
         flat_mod: ModuleInfo,
         ref: ast.AST,
         flat: ast.AST,
-        base_members: Optional[Dict[str, _Member]] = None,
     ) -> Iterable[Finding]:
         assert isinstance(ref, ast.ClassDef)
         assert isinstance(flat, ast.ClassDef)
         ref_members = _public_members(ref)
-        # Inherited surface first, own overrides on top — the flat side
-        # is compared by what callers can actually reach.
-        flat_members = dict(base_members or {})
-        flat_members.update(_public_members(flat))
+        flat_members = _public_members(flat)
 
         for name, member in sorted(ref_members.items()):
             if name in pair.allow_extra_ref:

@@ -20,12 +20,6 @@ cores.  This package holds those cores:
 * :mod:`~repro.perf.kernels` — per-level label kernels (NumPy-vectorized
   over numeric rings, pure-Python otherwise; ``REPRO_KERNELS`` forces a
   mode).
-* :mod:`~repro.perf.parallel` — true multicore execution
-  (``backend="parallel"``): shared-memory slab columns
-  (``multiprocessing.shared_memory``), a persistent spawn-context
-  worker pool, and a chunked round engine running the same vectorized
-  kernels across processes.  Imported lazily (worker-pool machinery
-  stays cold until a parallel backend is constructed).
 
 Every flat core is pinned op-for-op against its reference twin by the
 differential harness in ``tests/perf/`` — same seeds, same shapes, same

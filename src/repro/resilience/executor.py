@@ -14,12 +14,7 @@ journal is pure pre-image bookkeeping.
 :class:`ResilientListSession` stacks the degradation ladder on top for
 the incremental-list workload: rungs ``flat → reference → sequential``
 (the struct-of-arrays backend, the pointer-graph backend, and a plain
-Python list driven by the same monoid — the sequential oracle).  A
-``parallel`` rung may sit on top (``parallel → flat → reference →
-sequential``): the shared-memory worker-pool backend of PR 7, whose
-:class:`~repro.perf.parallel.pool.DeadWorkerError` is the
-process-level realization of the ``dead-processor`` fault and is
-recoverable here like any other.  When
+Python list driven by the same monoid — the sequential oracle).  When
 one rung exhausts its retries the session records a
 :class:`DegradationEvent`, rebuilds the next rung's structure from the
 last committed values, and re-runs the operation there.  Every batch
@@ -41,7 +36,6 @@ from ..errors import (
     TreeStructureError,
 )
 from ..listprefix.structure import IncrementalListPrefix
-from ..perf.parallel.pool import DeadWorkerError
 from .faults import TREE_FAULT_KINDS, FaultPlan, corrupt_journaled_cell
 from .scrub import repair, scrub
 
@@ -55,7 +49,6 @@ __all__ = [
 #: Exception types the supervisor treats as recoverable faults.
 RECOVERABLE = (
     CorruptionDetectedError,
-    DeadWorkerError,
     MachineHangError,
     TreeStructureError,
     AssertionError,
@@ -86,7 +79,7 @@ class ResiliencePolicy:
         if not self.ladder:
             raise InvalidParameterError("resilience ladder must have >= 1 rung")
         for rung in self.ladder:
-            if rung not in ("parallel", "flat", "reference", "sequential"):
+            if rung not in ("flat", "reference", "sequential"):
                 raise InvalidParameterError(f"unknown ladder rung {rung!r}")
         if self.detect not in ("deep", "light"):
             raise InvalidParameterError(f"unknown detect mode {self.detect!r}")
@@ -363,11 +356,6 @@ class ResilientListSession:
     def _demote(self, op_index: int, exc: RetryExhaustedError) -> None:
         committed = self._structure.values()
         from_rung = self.rung
-        # Leaving the parallel rung: release its shared-memory slabs now
-        # (the demoted structure is about to become garbage).
-        close = getattr(getattr(self._structure, "tree", None), "close", None)
-        if close is not None:
-            close()
         self.rung_index += 1
         to_rung = self.rung
         self._structure = self._build(to_rung, committed)

@@ -1,6 +1,6 @@
 """Unified MVCC snapshots + versioned persistence (PR 8, DESIGN.md §12).
 
-One copy-on-write snapshot mechanism spans all three backends — the
+One copy-on-write snapshot mechanism spans both backends — the
 PR 3 journals, the PR 5 ``ResilientExecutor`` checkpoints and the flat
 slab epochs are thin wrappers over it — plus a schema-versioned,
 per-column checksummed on-disk format with atomic writes and a

@@ -5,15 +5,12 @@ PR 3 undo-log (reference) and column-epoch (flat) journals, the PR 5
 ``ResilientExecutor`` per-attempt checkpoints, and the flat backend's
 slab epochs.  This module collapses them into one abstraction:
 
-* :class:`FlatSnapshot` — O(1) creation over the flat/parallel column
-  stores.  Capture records only the column lengths, the free-list
+* :class:`FlatSnapshot` — O(1) creation over the flat column
+  store.  Capture records only the column lengths, the free-list
   length, and the scalar registers (root index, RNG state, high-water
   mark, ``last_batch_stats``); pre-images are then captured
   copy-on-write at the *first* write to each pre-existing slot through
-  the journal seam (``tree._journal``).  Because a
-  :class:`~repro.perf.parallel.slab.SlabColumn` implements the full
-  list protocol, the same snapshot covers ``backend="parallel"``
-  shared-memory slabs without parallel-specific code.
+  the journal seam (``tree._journal``).
 * :class:`ReferenceSnapshot` — the observing undo log for the
   pointer-graph backend (rebuild splices, ancestor metadata, leaf
   relabels), recorded through the same seam.
@@ -27,7 +24,7 @@ slab epochs.  This module collapses them into one abstraction:
 **Restore is bit-for-bit**: structure, shortcut lists, summaries,
 ``rng_state()`` and ``last_batch_stats`` all equal the captured state
 (the contract the differential rig in
-:mod:`repro.testing.executor` pins on all three backends).  Live
+:mod:`repro.testing.executor` pins on both backends).  Live
 restores preserve handle identity — flat pre-images hold the original
 :class:`~repro.perf.flat_rbsts.FlatLeaf` objects, and reference deep
 restores reuse the captured leaf ``BSTNode`` objects — so callers'
@@ -130,9 +127,9 @@ REFERENCE_SNAPSHOT_FIELDS = frozenset(
 
 
 def _is_flat(tree: Any) -> bool:
-    """Flat-family detection by duck type (``FlatRBSTS`` and its
-    ``ParallelRBSTS`` subclass both expose ``root_index``); avoids
-    importing the perf layer from this module."""
+    """Flat-backend detection by duck type (``FlatRBSTS`` exposes
+    ``root_index``); avoids importing the perf layer from this
+    module."""
     return hasattr(tree, "root_index")
 
 

@@ -2,8 +2,7 @@
 
 Snapshot fuzzing (PR 8): seeded crash + corruption programs over the
 unified snapshot save/restore pipeline.  Each seed runs one exercise
-from a rotating schedule on a rotating backend (reference / flat /
-parallel):
+from a rotating schedule on a rotating backend (reference / flat):
 
 * ``differential`` — a generated list program replayed through the
   executor's snapshot differential rig (capture -> mutate -> restore ->
@@ -72,7 +71,7 @@ __all__ = [
     "states_equal",
 ]
 
-BACKENDS = ("reference", "flat", "parallel")
+BACKENDS = ("reference", "flat")
 
 #: Save has 3 SnapshotIO stages; arming past them exercises the
 #: no-crash overshoot path.

@@ -5,7 +5,7 @@ The PR 8 snapshot layer left one read-path gap (ROADMAP item 5): a
 had no way to keep answering queries from a pinned version while a
 batch mutates the live structure.  :class:`PinnedReader` closes it:
 
-* **Flat family** (``FlatRBSTS`` / ``ParallelRBSTS``): pinning is O(1)
+* **Flat backend** (``FlatRBSTS``): pinning is O(1)
   — a :class:`_PinnedFlatSnapshot` joins the transaction stack and
   observes copy-on-write pre-images through the journal seam; the
   reader lazily cuts the capture-epoch image with
@@ -26,7 +26,7 @@ opened after it is still open (the stack raises
 :class:`~repro.errors.SnapshotStateError` otherwise).
 
 Entry points: ``RBSTS.pinned_reader()`` / ``FlatRBSTS.pinned_reader()``
-(context managers; the parallel backend inherits the flat one) and
+(context managers) and
 ``DynamicTreeContraction.pinned_reader()`` for the contraction parse
 tree.  ``repro.serve`` answers every read from one of these pins while
 writer windows commit.

@@ -53,16 +53,6 @@ entries below the minimum length the free list ever reached are
 untouched originals; every original popped below the running minimum
 is recorded and re-appended in index order on rollback.
 
-The flat journal also covers the ``backend="parallel"`` shared-memory
-columns *without any parallel-specific code*: a
-:class:`~repro.perf.parallel.slab.SlabColumn` implements the full list
-protocol (indexing, slice truncation via ``del col[k:]``, ``append``),
-so the same tail-truncate + pre-image-write rollback restores slab
-bytes in place — worker processes see the rolled-back values at the
-next round because the slab mapping is shared, not copied
-(``tests/perf/test_parallel_slab.py`` pins journaled rollback over a
-slab-backed tree).
-
 Neither journal touches :class:`~repro.pram.frames.SpanTracker`
 accounting or draws randomness, so the machine-readable perf harness
 sees bit-identical simulated costs with journaling on.

@@ -42,10 +42,6 @@ def _fixture_config(**overrides) -> LintConfig:
             EffectEntry("r202_base.py", "BaseTree", "batch_link", ("R202",)),
             EffectEntry("r202_sub.py", "FastTree", "batch_link", ("R202",)),
         ),
-        worker_kernel_roots=(
-            ("r203_worker.py", "worker_main"),
-            ("r203_clean.py", "worker_main"),
-        ),
         txn_guards={},
         effect_allowlist={},
         effect_columns=frozenset({"parent", "left"}),
@@ -112,17 +108,6 @@ def test_r202_guarded_base_is_silent():
     assert not [f for f in report.findings if f.path == "r202_base.py"]
 
 
-def test_r203_worker_impurity():
-    report = _run_fixtures()
-    hits = _by_rule(report, "R203")
-    assert {f.path for f in hits} == {"r203_worker.py"}
-    kinds = {f.message.split("impure effect ")[1].split(":")[0] for f in hits}
-    # the seeded draw in the loop AND the file write two calls down
-    assert "rng" in kinds
-    assert "io" in kinds
-    assert not [f for f in hits if f.path == "r203_clean.py"]
-
-
 def test_r204_txn_region_uncovered_mutation():
     report = _run_fixtures()
     hits = [f for f in _by_rule(report, "R204") if f.path == "r204_txn.py"]
@@ -159,7 +144,6 @@ def test_registry_drift_is_a_finding():
         effect_entries=(
             EffectEntry("r201_deep.py", "Store", "no_such_method", ("R201",)),
         ),
-        worker_kernel_roots=(),
     )
     drift = [f for f in report.findings if "registry drift" in f.message]
     assert len(drift) == 1 and drift[0].line == 0
@@ -441,7 +425,7 @@ def test_report_json_schema():
     doc = report.to_json()
     assert doc["schema"] == EFFECTS_SCHEMA
     assert doc["clean"] is False
-    assert set(doc["counts"]) == {"R201", "R202", "R203", "R204"}
+    assert set(doc["counts"]) == {"R201", "R202", "R204"}
     json.dumps(doc)  # round-trips
     fn = doc["functions"]["r201_deep.py::_shuffle"]
     # atoms serialize as [kind, detail, line] triples

@@ -7,7 +7,13 @@ import pytest
 
 from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
-from repro.errors import BatchValidationError, PositionError, RetryExhaustedError
+from repro.errors import (
+    BatchValidationError,
+    InvalidParameterError,
+    MachineHangError,
+    PositionError,
+    RetryExhaustedError,
+)
 from repro.resilience.executor import (
     DegradationEvent,
     ResiliencePolicy,
@@ -119,6 +125,21 @@ def test_abort_restores_pre_op_state_bit_for_bit():
     assert session.values()[0] == 1
 
 
+def test_retry_exhaustion_at_ladder_bottom_still_raises():
+    session = make(
+        policy=ResiliencePolicy(max_retries=0, ladder=("flat",), detect="light")
+    )
+
+    def always_hung(*_args):
+        raise MachineHangError("injected")
+
+    # MachineHangError is RECOVERABLE, so with zero retries and a
+    # single-rung ladder the supervisor must surface RetryExhaustedError.
+    session._structure.prefix = always_hung
+    with pytest.raises(RetryExhaustedError):
+        session.prefix(10)
+
+
 # ---------------------------------------------------------------------------
 # client errors are not faults
 # ---------------------------------------------------------------------------
@@ -160,3 +181,11 @@ def test_policy_rejects_bad_configuration():
         ResiliencePolicy(max_retries=-1)
     with pytest.raises(Exception):
         ResiliencePolicy(detect="telepathy")
+
+
+def test_ladder_rejects_unknown_rung():
+    ResiliencePolicy(ladder=("reference", "flat"))  # must not raise
+    # "parallel" is not a rung: there is no process-pool backend.
+    for ladder in (("flat", "threads"), ("parallel",), ("parallel", "flat")):
+        with pytest.raises(InvalidParameterError):
+            ResiliencePolicy(ladder=ladder)

@@ -102,7 +102,7 @@ def test_success_resets_consecutive_failure_count():
 def test_worker_death_demotion_is_confined_to_one_shard():
     """A dying backend on one shard demotes that shard's session down
     the ladder; sibling shards keep their rung and their traffic."""
-    from repro.perf.parallel.pool import DeadWorkerError
+    from repro.errors import MachineHangError
 
     policy = ServePolicy(
         resilience=ResiliencePolicy(
@@ -113,15 +113,15 @@ def test_worker_death_demotion_is_confined_to_one_shard():
     healthy = Shard(1, MONOID, [4, 5, 6], seed=0, policy=policy)
 
     def die(*a, **k):
-        raise DeadWorkerError("worker died mid-batch")
+        raise MachineHangError("backend hung mid-batch")
 
     sick.session._structure.batch_insert = die
     out = sick.execute_window([req(0)], 0.0)
-    # The ladder absorbed the death: demoted to reference, op applied.
+    # The ladder absorbed the fault: demoted to reference, op applied.
     assert out[0].status == "applied"
     assert sick.session.rung == "reference"
     assert len(sick.session.events) == 1
-    assert "worker died" in sick.session.events[0].reason
+    assert "hung mid-batch" in sick.session.events[0].reason
     assert sick.values() == [0, 1, 2, 3]
     # The sibling shard is untouched.
     h_out = healthy.execute_window(

@@ -30,7 +30,7 @@ from repro.testing.crashes import CrashController, CrashInjected, snapshot_crash
 from repro.testing.oracles import shape_signature
 
 MONOID = sum_monoid(INTEGER)
-BACKENDS = ("reference", "flat", "parallel")
+BACKENDS = ("reference", "flat")
 
 
 def make(backend, *, n=10, seed=4):

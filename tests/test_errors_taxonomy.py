@@ -92,9 +92,10 @@ def test_empty_tree_both_catches(backend):
 def test_unknown_backend_both_catches():
     from repro.splitting.rbsts import RBSTS
 
-    for catch in (ReproError, ValueError, InvalidParameterError):
-        with pytest.raises(catch):
-            RBSTS([1, 2], backend="gpu")
+    for backend in ("gpu", "parallel"):
+        for catch in (ReproError, ValueError, InvalidParameterError):
+            with pytest.raises(catch):
+                RBSTS([1, 2], backend=backend)
 
 
 @pytest.mark.parametrize("backend", ["reference", "flat"])
