@@ -70,6 +70,10 @@ lint:
 lint-effects:
 	$(PYTHON) -m repro.lint --effects
 
+## Every fuzz-* target below drives the one fuzz CLI,
+## `python -m repro.testing.fuzz --scenario ...` (scenario registry:
+## repro.testing.scenarios; see TESTING.md "Fuzzing").
+
 ## Differential fuzz smoke (the CI load): 3 seeds x 2000 ops per
 ## scenario, both backends in lockstep, auditing after every op.
 ## Exit 0 means zero invariant or oracle violations.  See TESTING.md.
@@ -86,10 +90,12 @@ fuzz-selftest:
 ## programs with mid-batch crash injection, both backends in lockstep.
 ## Every fired crash must roll the structure back bit-for-bit (shape
 ## signature, master-RNG state, last_batch_stats, self-invariants) and
-## then re-apply cleanly.  Exit 0 means every rollback audited clean.
+## then re-apply cleanly.  Exit 0 means every rollback audited clean;
+## --require-coverage asserts the crash-fired class appears, and the
+## summary line reports the total number of fired crashes.
 fuzz-crash:
-	$(PYTHON) -m repro.testing.fuzz --scenario list --seed 0 \
-		--crash-seed 0 --runs 200 --ops 80 --backend both --no-save
+	$(PYTHON) -m repro.testing.fuzz --scenario crash --seed 0 \
+		--runs 200 --ops 80 --backend both --no-save --require-coverage
 
 ## Recovery fuzzing (the PR 5 CI load): 200 seeded programs under
 ## runtime fault injection (dead processors, lost forks, hangs, torn
@@ -98,8 +104,8 @@ fuzz-crash:
 ## three classes appear, and budget guards bound the wall clock.  See
 ## TESTING.md ("Recovery fuzzing") and DESIGN.md section 9.
 fuzz-faults:
-	$(PYTHON) -m repro.resilience.fuzz --seed 0 --runs 200 --ops 40 \
-		--no-save --require-coverage
+	$(PYTHON) -m repro.testing.fuzz --scenario faults --seed 0 \
+		--runs 200 --ops 40 --no-save --require-coverage
 
 ## Snapshot fuzzing (the PR 8 CI load): seeded crash + corruption
 ## programs over the unified snapshot save/restore pipeline — the
@@ -109,7 +115,8 @@ fuzz-faults:
 ## asserts every exercise class (including fired save and restore
 ## crashes) appears across the runs.  See TESTING.md.
 fuzz-snapshots:
-	$(PYTHON) -m repro.snapshots.fuzz --seed 0 --runs 96 --require-coverage
+	$(PYTHON) -m repro.testing.fuzz --scenario snapshots --seed 0 \
+		--runs 96 --require-coverage
 
 ## Serve-layer chaos fuzz (the PR 10 CI load): 40 seeded configs
 ## sweeping faults, poison, overload, deadlines and truncated ladders
@@ -120,10 +127,11 @@ fuzz-snapshots:
 ## all nine behaviour classes (shed, timeout, quarantine, breaker-open,
 ## demotion, ...) appear across the batch.  See TESTING.md.
 fuzz-serve:
-	$(PYTHON) -m repro.serve.chaos --seed 0 --runs 40 --requests 150 \
-		--no-save --require-coverage
+	$(PYTHON) -m repro.testing.fuzz --scenario serve --seed 0 \
+		--runs 40 --ops 150 --no-save --require-coverage
 
-## Replay every pinned regression reproducer in tests/corpus/.
+## Replay every pinned regression reproducer in tests/corpus/ (all
+## scenarios, one schema).
 corpus-replay:
 	$(PYTHON) -m pytest tests/testing/test_corpus_replay.py -q
 

@@ -610,12 +610,9 @@ EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
             "reported by the harness, not crash it"
         ),
         "src/repro/snapshots/fuzz.py::fuzz_one": (
-            "crash-injection fuzzing classifies every outcome "
-            "(including taxonomy raises) as survive/die/diverge"
-        ),
-        "src/repro/testing/corpus.py::replay_corpus": (
-            "corpus replay records each case's outcome; a raising "
-            "case is a red verdict, not a replay abort"
+            "the snapshots scenario's fuzz runs and corpus replays both "
+            "classify every exercise outcome (including taxonomy "
+            "raises) as a pass/fail verdict"
         ),
         "src/repro/testing/executor.py::run_sequence": (
             "the differential executor classifies construction and "

@@ -67,6 +67,7 @@ def run_checks(
     findings.extend(_check_r201(graph, policy))
     findings.extend(_check_r202(graph, policy))
     findings.extend(_check_r204(graph, policy))
+    findings.extend(_check_allowlist_drift(graph, policy))
     kept: List[Finding] = []
     for f in findings:
         mod = modules.get(f.path)
@@ -107,6 +108,28 @@ def _entry_fid(
 def _entry_label(entry: Tuple[str, str, str, Tuple[str, ...]]) -> str:
     path, class_name, method, _rules = entry
     return f"{class_name}.{method}" if class_name else method
+
+
+def _check_allowlist_drift(
+    graph: EffectGraph, policy: EffectPolicy
+) -> List[Finding]:
+    """An allowlisted owner that names no function justifies nothing
+    and would silently cover a future function of that name."""
+    out: List[Finding] = []
+    for rule, owners in sorted(policy.allowlist.items()):
+        for owner in sorted(owners):
+            if owner in graph.functions:
+                continue
+            path, qual = _owner_path(owner)
+            out.append(
+                _finding(
+                    rule,
+                    path,
+                    0,
+                    f"allowlisted owner {qual} not found (registry drift)",
+                )
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,8 @@ from ..errors import (
 )
 from ..pram.frames import SpanTracker
 from ..splitting.build import Summarizer
-from ..snapshots.core import txn_begin, txn_commit, txn_rollback
+from ..snapshots.core import FlatSnapshot, txn_begin, txn_commit, txn_rollback
 from ..transactions import (
-    FlatJournal,
     execute_batch,
     validate_batch_delete,
     validate_batch_insert,
@@ -140,10 +139,10 @@ class FlatRBSTS:
         # Transactional array-epoch journal (transactions.py); ``None``
         # outside a batch transaction.  Set before any build so the
         # construction never journals.
-        self._journal: Optional[FlatJournal] = None
+        self._journal: Optional[FlatSnapshot] = None
         # Innermost open snapshot in the transaction stack and the
         # MVCC epoch counter (repro.snapshots.core).
-        self._txn: Optional[FlatJournal] = None
+        self._txn: Optional[FlatSnapshot] = None
         self._snapshot_epoch = 0
         self._rng = random.Random(seed)
         self.summarizer = summarizer
@@ -1229,15 +1228,15 @@ class FlatRBSTS:
     # including nested opens and the recording-seam fanout — lives in
     # repro.snapshots.core)
     # ------------------------------------------------------------------
-    def _txn_begin(self) -> FlatJournal:
-        journal = FlatJournal(self)
+    def _txn_begin(self) -> FlatSnapshot:
+        journal = FlatSnapshot(self)
         txn_begin(self, journal)
         return journal
 
-    def _txn_rollback(self, journal: FlatJournal) -> None:
+    def _txn_rollback(self, journal: FlatSnapshot) -> None:
         txn_rollback(self, journal)
 
-    def _txn_commit(self, journal: FlatJournal) -> None:
+    def _txn_commit(self, journal: FlatSnapshot) -> None:
         txn_commit(self, journal)
 
     def pinned_reader(self, *, monoid: Any = None):

@@ -25,12 +25,14 @@ rollback (:mod:`repro.transactions`), and step-discipline races
     a graceful degradation ladder flat → reference → sequential oracle
     with recorded :class:`DegradationEvent`\\ s.
 
-``harness`` / ``fuzz`` / ``corpus``
+``harness``
     End-to-end recovery fuzzing: seeded programs race injected faults
     against recovery and every batch must (a) complete identically to
     the fault-free oracle (RNG parity included), (b) complete on a lower
     ladder rung with oracle-identical answers, or (c) abort with the
-    pre-batch state restored bit-for-bit.
+    pre-batch state restored bit-for-bit.  The ``faults`` scenario of
+    ``python -m repro.testing.fuzz`` drives it (:func:`~.harness.fuzz_one`
+    per seed) and replays its ``tests/corpus/`` entries.
 """
 
 from .executor import (

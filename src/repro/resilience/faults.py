@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..pram.machine import Machine
 from ..pram.memory import SharedMemory, WritePolicy
 from ..pram.ops import Local, Program
-from ..transactions import FlatJournal, ReferenceJournal
+from ..snapshots.core import FlatSnapshot, ReferenceSnapshot
 
 __all__ = [
     "FAULT_KINDS",
@@ -376,10 +376,10 @@ def corrupt_journaled_cell(tree: Any, event: FaultEvent) -> Optional[str]:
 
     The damage is guaranteed to be removed by ``_txn_rollback``: flat
     targets are slots with a 12-column pre-image in
-    :class:`~repro.transactions.FlatJournal` (or slots born inside the
+    :class:`~repro.snapshots.core.FlatSnapshot` (or slots born inside the
     transaction, which truncation discards); reference targets are
     nodes with a ``meta`` pre-image in
-    :class:`~repro.transactions.ReferenceJournal`.  Returns a
+    :class:`~repro.snapshots.core.ReferenceSnapshot`.  Returns a
     description of the fired fault, or ``None`` when the journal offers
     no live target (the fault fizzles — nothing was corrupted).
     """
@@ -389,14 +389,14 @@ def corrupt_journaled_cell(tree: Any, event: FaultEvent) -> Optional[str]:
     journal = getattr(tree, "_txn", None)
     if journal is None:
         return None
-    if isinstance(journal, FlatJournal):
+    if isinstance(journal, FlatSnapshot):
         return _corrupt_flat(tree, journal, event)
-    if isinstance(journal, ReferenceJournal):
+    if isinstance(journal, ReferenceSnapshot):
         return _corrupt_reference(tree, journal, event)
     return None
 
 
-def _corrupt_flat(tree: Any, journal: FlatJournal, event: FaultEvent) -> Optional[str]:
+def _corrupt_flat(tree: Any, journal: FlatSnapshot, event: FaultEvent) -> Optional[str]:
     saved = [s for s in sorted(journal.saved) if _flat_is_live(tree, s)]
     born = [
         s
@@ -431,7 +431,7 @@ def _corrupt_flat(tree: Any, journal: FlatJournal, event: FaultEvent) -> Optiona
 
 
 def _corrupt_reference(
-    tree: Any, journal: ReferenceJournal, event: FaultEvent
+    tree: Any, journal: ReferenceSnapshot, event: FaultEvent
 ) -> Optional[str]:
     metas = [
         e for e in journal.entries if e[0] == "meta" and _ref_is_live(tree, e[1])

@@ -30,6 +30,7 @@ from ..errors import CorruptionDetectedError, RetryExhaustedError
 from ..pram.memory import WritePolicy
 from ..pram.ops import Fork, Program, Read, Write
 from ..testing.executor import initial_values
+from ..testing.generator import generate
 from ..testing.ops import FUZZ_RINGS, OpSequence, norm_value
 from .executor import ResiliencePolicy, ResilientExecutor, ResilientListSession
 from .faults import (
@@ -41,8 +42,11 @@ from .faults import (
 )
 
 __all__ = [
+    "FUZZ_FAULT_RATE",
     "RecoveryViolation",
     "ResilienceReport",
+    "fuzz_one",
+    "plan_for_seed",
     "policy_for_seed",
     "pram_sum",
     "run_resilience_program",
@@ -98,6 +102,28 @@ def policy_for_seed(seed: int) -> ResiliencePolicy:
     if seed % 5 == 3:
         return ResiliencePolicy(max_retries=1, ladder=("flat",))
     return ResiliencePolicy()
+
+
+#: Per-op fault probability of the recovery fuzzer's plans.
+FUZZ_FAULT_RATE = 0.35
+
+
+def plan_for_seed(seed: int) -> FaultPlan:
+    """The fault plan the fuzzer arms for ``seed``.  Every third seed
+    draws only transient faults: recovery must then reconverge with the
+    fault-free run *exactly* (outcome a, RNG parity included) even
+    though faults did fire."""
+    sticky_rate = 0.0 if seed % 3 == 2 else 0.3
+    return FaultPlan(seed, rate=FUZZ_FAULT_RATE, sticky_rate=sticky_rate)
+
+
+def fuzz_one(seed: int, n_ops: int) -> ResilienceReport:
+    """One seeded recovery-fuzz run: a ``"faulty"``-profile list
+    program under :func:`plan_for_seed` and :func:`policy_for_seed`."""
+    seq = generate("list", seed, n_ops, profile="faulty")
+    return run_resilience_program(
+        seq, plan=plan_for_seed(seed), policy=policy_for_seed(seed)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -403,7 +403,7 @@ def _recompute_meta(
             elif site.field == "height":
                 node.height = h_sh
             elif site.field == "depth":
-                # ReferenceJournal.record_meta does not cover ``depth``;
+                # ReferenceSnapshot.record_meta does not cover ``depth``;
                 # keep a manual pre-image for rollback fidelity.
                 depth_preimages.append((node, node.depth))
                 node.depth = d_sh

@@ -10,7 +10,7 @@ load shedding, per-shard circuit breakers, poisoned-batch quarantine
 (snapshot rollback + ddmin bisection), and pinned-epoch reads via
 :func:`repro.snapshots.pinned_reader`.  The whole core is synchronous
 and clock-free; :mod:`repro.serve.chaos` drives it deterministically
-(``make fuzz-serve``).
+as the ``serve`` fuzz scenario (``make fuzz-serve``).
 """
 
 from .clock import MonotonicClock, VirtualClock

@@ -6,8 +6,8 @@ slab epochs are thin wrappers over it — plus a schema-versioned,
 per-column checksummed on-disk format with atomic writes and a
 torn-file corruption taxonomy.  See :mod:`repro.snapshots.core` and
 :mod:`repro.snapshots.persist` for the mechanics and
-:mod:`repro.snapshots.fuzz` for the seeded crash+corruption driver
-(``make fuzz-snapshots``).
+:mod:`repro.snapshots.fuzz` for the seeded crash+corruption exercises
+behind the ``snapshots`` fuzz scenario (``make fuzz-snapshots``).
 """
 
 from .core import (

@@ -1,8 +1,9 @@
-"""CLI entry point: ``python -m repro.snapshots.fuzz``.
+"""Snapshot fuzzing: the exercises behind the ``snapshots`` scenario.
 
-Snapshot fuzzing (PR 8): seeded crash + corruption programs over the
-unified snapshot save/restore pipeline.  Each seed runs one exercise
-from a rotating schedule on a rotating backend (reference / flat):
+Seeded crash + corruption programs over the unified snapshot
+save/restore pipeline (DESIGN.md §12).  ``python -m repro.testing.fuzz
+--scenario snapshots`` runs one exercise per seed from a rotating
+schedule on a rotating backend (reference / flat, :func:`schedule`):
 
 * ``differential`` — a generated list program replayed through the
   executor's snapshot differential rig (capture -> mutate -> restore ->
@@ -22,28 +23,20 @@ from a rotating schedule on a rotating backend (reference / flat):
   right taxonomy error and :func:`~repro.snapshots.persist.load_newest`
   must fall back to the older intact file while reporting the damage.
 
-Contract violations raise (and exit 1); ``--require-coverage`` fails
-unless every exercise class — including at least one *fired* save
-crash and restore crash — was observed across the runs.
-
-Examples::
-
-    PYTHONPATH=src python -m repro.snapshots.fuzz --seed 0 --runs 24
-    PYTHONPATH=src python -m repro.snapshots.fuzz --runs 48 --require-coverage
-
-Exit codes: 0 clean, 1 contract violation, 2 usage / coverage failure.
+:func:`run_exercise` raises on a contract violation and returns the
+outcome class; :func:`fuzz_one` turns a raise into a failing verdict.
+The scenario's ``--require-coverage`` fails unless every exercise
+class — including at least one *fired* save crash and restore crash —
+was observed across the runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
-import sys
 import tempfile
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..algebra.monoid import sum_monoid
 from ..algebra.rings import INTEGER
@@ -66,8 +59,8 @@ __all__ = [
     "exercise_restore_crash",
     "exercise_save_crash",
     "fuzz_one",
-    "main",
     "run_exercise",
+    "schedule",
     "states_equal",
 ]
 
@@ -317,14 +310,6 @@ EXERCISES = {
 
 _SCHEDULE = ("differential", "save-crash", "restore-crash", "corruption")
 
-#: Outcome prefixes --require-coverage demands at least one of each.
-_COVERAGE = (
-    "differential",
-    "save-crash",
-    "restore-crash",
-    "corruption",
-)
-
 
 def run_exercise(name: str, seed: int, *, backend: str = "flat") -> str:
     """Run one named exercise; raises on any contract violation and
@@ -337,81 +322,23 @@ def run_exercise(name: str, seed: int, *, backend: str = "flat") -> str:
     return EXERCISES[name](seed, backend)
 
 
-def fuzz_one(seed: int, *, verbose: bool = True) -> Tuple[str, Optional[str]]:
-    """One seeded run of the rotating exercise/backend schedule; returns
-    ``(outcome, failure-or-None)``."""
+def schedule(seed: int) -> Tuple[str, str]:
+    """The ``(exercise, backend)`` the rotating schedule assigns to
+    ``seed``."""
     name = _SCHEDULE[seed % len(_SCHEDULE)]
     backend = BACKENDS[(seed // len(_SCHEDULE)) % len(BACKENDS)]
-    t0 = time.perf_counter()
+    return name, backend
+
+
+def fuzz_one(
+    seed: int, name: Optional[str] = None, backend: Optional[str] = None
+) -> Tuple[str, Optional[str]]:
+    """Run exercise ``name`` on ``backend`` (default: the schedule's
+    pick for ``seed``); returns ``(outcome, failure-or-None)`` and never
+    raises — a contract violation is the ``<name>-FAILED`` outcome."""
+    pick_name, pick_backend = schedule(seed)
+    name, backend = name or pick_name, backend or pick_backend
     try:
-        outcome = run_exercise(name, seed, backend=backend)
-        failure = None
+        return run_exercise(name, seed, backend=backend), None
     except Exception as exc:
-        outcome = f"{name}-FAILED"
-        failure = f"{type(exc).__name__}: {exc}"
-    dt = time.perf_counter() - t0
-    if verbose:
-        status = "ok" if failure is None else "FAIL"
-        print(
-            f"[snapshots] {status:>4}  seed={seed}  {backend:>9}  "
-            f"{outcome}  {dt:.2f}s"
-        )
-        if failure is not None:
-            print(f"[snapshots] violation: {failure}")
-    return outcome, failure
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.snapshots.fuzz",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    ap.add_argument("--seed", type=int, default=0, help="first seed")
-    ap.add_argument(
-        "--runs", type=int, default=12, metavar="K",
-        help="fuzz K consecutive seeds starting at --seed",
-    )
-    ap.add_argument(
-        "--require-coverage", action="store_true",
-        help="fail unless every exercise class (differential, fired "
-        "save-crash, fired restore-crash, corruption-recovered) was "
-        "observed across the runs",
-    )
-    ap.add_argument("--quiet", action="store_true", help="summary line only")
-    args = ap.parse_args(argv)
-
-    tally: Dict[str, int] = {}
-    rc = 0
-    t0 = time.perf_counter()
-    for run in range(max(1, args.runs)):
-        outcome, failure = fuzz_one(args.seed + run, verbose=not args.quiet)
-        tally[outcome] = tally.get(outcome, 0) + 1
-        if failure is not None:
-            rc = 1
-    dt = time.perf_counter() - t0
-    print(
-        f"[snapshots] {max(1, args.runs)} runs in {dt:.1f}s: "
-        + "  ".join(f"{k}={v}" for k, v in sorted(tally.items()))
-    )
-    if args.require_coverage and rc == 0:
-        missing = [
-            want
-            for want in _COVERAGE
-            if not any(
-                k.startswith(want) and not k.endswith("FAILED") and "overshoot" not in k
-                for k in tally
-            )
-        ]
-        if missing:
-            print(
-                f"[snapshots] coverage failure: no {'/'.join(missing)} "
-                "outcome observed — widen --runs",
-                file=sys.stderr,
-            )
-            return 2
-    return rc
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        return f"{name}-FAILED", f"{type(exc).__name__}: {exc}"

@@ -31,10 +31,17 @@ runs on the crash-free trajectory.  Journal faults in
 :mod:`repro.testing.faults` (``needs_crash=True``) self-verify that
 this oracle actually watches the rollback path.
 
-Entry point::
+One CLI drives every fuzz workload: :mod:`repro.testing.scenarios`
+registers the ``list``, ``contraction``, ``crash``, ``faults``
+(:mod:`repro.resilience.harness`), ``snapshots``
+(:mod:`repro.snapshots.fuzz`) and ``serve`` (:mod:`repro.serve.chaos`)
+scenarios — each a seeded run, its coverage classes and a corpus
+replay — and every reproducer is written in the one
+:mod:`repro.testing.corpus` schema::
 
     PYTHONPATH=src python -m repro.testing.fuzz --seed 0 --ops 2000 --backend both
-    PYTHONPATH=src python -m repro.testing.fuzz --scenario list --crash-seed 0 --runs 200
+    PYTHONPATH=src python -m repro.testing.fuzz --scenario crash --runs 200 --ops 80
+    PYTHONPATH=src python -m repro.testing.fuzz --replay tests/corpus/<entry>.json
 
 See TESTING.md for the workflow and DESIGN.md §6/§7 for the mapping
 from audited invariants to the paper's theorems (2.1–2.3, 3.1).

@@ -1,14 +1,28 @@
 """The replayable regression corpus under ``tests/corpus/``.
 
-Every shrunk fuzz failure is written here as a JSON file; the replay
-test (``tests/testing/test_corpus_replay.py``) re-runs each entry on
-every test run, so a once-found bug can never silently return.  Entry
-metadata records the failure that produced it and the fuzzer revision.
+Every fuzz scenario (:mod:`repro.testing.scenarios`) writes its
+reproducers here in one schema, :data:`CORPUS_SCHEMA`; the replay test
+(``tests/testing/test_corpus_replay.py``) and ``python -m
+repro.testing.fuzz --replay`` both re-run an entry through
+:func:`repro.testing.scenarios.replay_entry`, so a once-found bug can
+never silently return.  An entry is one JSON object::
+
+    {
+      "schema":   "repro-corpus/1",
+      "scenario": "list" | "contraction" | "crash" | "faults"
+                  | "snapshots" | "serve",
+      "note":     why the entry exists (or the failure that wrote it),
+      "config":   the scenario's run knobs (backend, crash_seed,
+                  snapshot seeds, fault plan + policy, chaos config),
+      "expect":   what the replay must reproduce beyond passing its
+                  audits (outcome class, fired faults, chaos digest),
+      "program":  the OpSequence (absent for serve entries)
+    }
 
 Workflow (see TESTING.md):
 
-1. ``python -m repro.testing.fuzz ...`` finds a violation, shrinks it
-   and drops ``shrunk-<scenario>-<digest>.json`` into the corpus;
+1. ``python -m repro.testing.fuzz --scenario ...`` finds a violation
+   and drops ``fail-<scenario>-<digest>.json`` into the corpus;
 2. fix the bug;
 3. commit the fix *and* the corpus file — the replay test now pins it.
 """
@@ -18,18 +32,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
-from .executor import RunReport, run_sequence
-from .ops import SCHEMA, OpSequence
+from ..errors import InvalidParameterError
+from .ops import OpSequence
 
 __all__ = [
-    "default_corpus_dir",
-    "save_entry",
-    "load_entry",
+    "CORPUS_SCHEMA",
     "corpus_paths",
-    "replay_corpus",
+    "default_corpus_dir",
+    "load_entry",
+    "make_entry",
+    "save_entry",
 ]
+
+CORPUS_SCHEMA = "repro-corpus/1"
 
 
 def default_corpus_dir() -> str:
@@ -43,118 +60,75 @@ def default_corpus_dir() -> str:
     return os.path.join(os.getcwd(), "tests", "corpus")
 
 
-def _digest(seq: OpSequence) -> str:
-    body = json.dumps(
-        [seq.scenario, seq.seed, seq.n0, seq.ring, seq.ops], sort_keys=True
-    )
-    return hashlib.sha256(body.encode()).hexdigest()[:10]
+def make_entry(
+    scenario: str,
+    config: Mapping[str, Any],
+    *,
+    program: Optional[OpSequence] = None,
+    expect: Optional[Mapping[str, Any]] = None,
+    note: str = "",
+) -> Dict[str, Any]:
+    """One corpus entry (plain JSON data)."""
+    entry: Dict[str, Any] = {
+        "schema": CORPUS_SCHEMA,
+        "scenario": scenario,
+        "note": note,
+        "config": dict(config),
+        "expect": dict(expect or {}),
+    }
+    if program is not None:
+        entry["program"] = program.to_json()
+    return entry
 
 
 def save_entry(
-    seq: OpSequence,
+    entry: Mapping[str, Any],
     directory: Optional[str] = None,
     *,
-    prefix: str = "shrunk",
-    failure: Optional[str] = None,
-    extra_meta: Optional[Dict] = None,
+    prefix: str = "fail",
 ) -> str:
-    """Write ``seq`` into the corpus; returns the file path."""
+    """Write ``entry`` into the corpus; returns the file path."""
     directory = directory or default_corpus_dir()
     os.makedirs(directory, exist_ok=True)
-    meta = dict(seq.meta)
-    if failure is not None:
-        meta["original_failure"] = failure
-    if extra_meta:
-        meta.update(extra_meta)
-    entry = seq.with_ops(seq.ops)
-    entry.meta = meta
-    path = os.path.join(
-        directory, f"{prefix}-{seq.scenario}-{_digest(seq)}.json"
+    body = json.dumps(
+        [entry["scenario"], entry["config"], entry.get("program")],
+        sort_keys=True,
     )
+    digest = hashlib.sha256(body.encode()).hexdigest()[:10]
+    name = f"{prefix}-{entry['scenario']}-{digest}.json"
+    path = os.path.join(directory, name)
     with open(path, "w") as fh:
-        fh.write(entry.dumps())
+        json.dump(entry, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
 
-def load_entry(path: str) -> OpSequence:
-    with open(path) as fh:
-        return OpSequence.loads(fh.read())
+def load_entry(path: str) -> Dict[str, Any]:
+    """Read one entry; anything that is not a :data:`CORPUS_SCHEMA`
+    object raises :class:`~repro.errors.InvalidParameterError`."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"{path}: unreadable corpus entry ({exc})"
+        ) from exc
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != CORPUS_SCHEMA:
+        raise InvalidParameterError(
+            f"{path}: unknown corpus schema {schema!r} "
+            f"(expected {CORPUS_SCHEMA!r})"
+        )
+    return data
 
 
-def corpus_paths(
-    directory: Optional[str] = None, *, schema: Optional[str] = None
-) -> List[str]:
-    """JSON entries in the corpus directory whose ``schema`` field matches
-    ``schema`` (default: the fuzz-corpus schema).  ``tests/corpus`` is
-    shared with the resilience corpus (``repro.resilience.corpus``), so
-    each replay suite filters to its own schema instead of globbing."""
+def corpus_paths(directory: Optional[str] = None) -> List[str]:
+    """Every ``*.json`` entry in the corpus directory, sorted."""
     directory = directory or default_corpus_dir()
-    wanted = SCHEMA if schema is None else schema
     if not os.path.isdir(directory):
         return []
-    out = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if isinstance(data, dict) and data.get("schema") == wanted:
-            out.append(path)
-    return out
-
-
-def replay_corpus(
-    directory: Optional[str] = None,
-    *,
-    backend: str = "both",
-) -> List[Tuple[str, RunReport]]:
-    """Re-run every corpus entry; entries must replay *clean* (they
-    capture formerly-failing programs whose bugs are fixed).
-
-    Entries carrying a ``crash_seed`` in their metadata re-arm the same
-    mid-batch crash schedule, so crash-consistent rollback reproducers
-    stay pinned too.  Entries carrying a ``snapshot_seed`` (optionally
-    with a ``snapshot_mode``) re-arm the snapshot differential rig, and
-    a ``snapshot_exercise`` additionally runs the named persistence
-    exercise from :mod:`repro.snapshots.fuzz` (save-crash /
-    restore-crash / corruption) — an exercise violation is recorded as
-    the entry's failure."""
-    out: List[Tuple[str, RunReport]] = []
-    for path in corpus_paths(directory):
-        seq = load_entry(path)
-        requested = seq.meta.get("backend", backend)
-        crash = seq.meta.get("crash_seed")
-        report = run_sequence(
-            seq,
-            backend=requested,
-            crash_seed=crash,
-            snapshot_seed=seq.meta.get("snapshot_seed"),
-            snapshot_mode=seq.meta.get("snapshot_mode", "state"),
-        )
-        exercise = seq.meta.get("snapshot_exercise")
-        if exercise is not None and report.ok:
-            from ..snapshots.fuzz import run_exercise  # lazy: optional leg
-
-            try:
-                run_exercise(
-                    exercise,
-                    int(seq.meta.get("exercise_seed", seq.seed)),
-                    backend=seq.meta.get("exercise_backend", "flat"),
-                )
-            except Exception as exc:
-                from .executor import FailureInfo
-
-                report.failure = FailureInfo(
-                    -1,
-                    None,
-                    "snapshot-exercise",
-                    type(exc).__name__,
-                    str(exc),
-                )
-        out.append((path, report))
-    return out
+    return [
+        os.path.join(directory, name)
+        for name in sorted(os.listdir(directory))
+        if name.endswith(".json")
+    ]

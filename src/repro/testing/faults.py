@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 from ..perf.flat_rbsts import FlatRBSTS
+from ..snapshots.core import FlatSnapshot, ReferenceSnapshot
 from ..splitting.rbsts import RBSTS
 from ..splitting.shortcuts import shortcuts_from_path
-from ..transactions import FlatJournal, ReferenceJournal
 
 __all__ = ["Fault", "FAULTS"]
 
@@ -136,7 +136,7 @@ def _install_ref_journal_drops_meta() -> Callable[[], None]:
     def metaless_record(self, nodes):  # noqa: ANN001 - patched method
         return None
 
-    return _patch(ReferenceJournal, "record_meta", metaless_record)
+    return _patch(ReferenceSnapshot, "record_meta", metaless_record)
 
 
 def _install_ref_journal_drops_items() -> Callable[[], None]:
@@ -146,7 +146,7 @@ def _install_ref_journal_drops_items() -> Callable[[], None]:
     def itemless_record(self, leaves):  # noqa: ANN001
         return None
 
-    return _patch(ReferenceJournal, "record_items", itemless_record)
+    return _patch(ReferenceSnapshot, "record_items", itemless_record)
 
 
 def _install_flat_journal_drops_slots() -> Callable[[], None]:
@@ -157,7 +157,7 @@ def _install_flat_journal_drops_slots() -> Callable[[], None]:
     def slotless_save(self, tree, i):  # noqa: ANN001
         return None
 
-    return _patch(FlatJournal, "save_slot", slotless_save)
+    return _patch(FlatSnapshot, "save_slot", slotless_save)
 
 
 def _install_flat_journal_drops_free_tail() -> Callable[[], None]:
@@ -168,7 +168,7 @@ def _install_flat_journal_drops_free_tail() -> Callable[[], None]:
     def popless_note(self, free, take):  # noqa: ANN001
         return None
 
-    return _patch(FlatJournal, "note_free_pops", popless_note)
+    return _patch(FlatSnapshot, "note_free_pops", popless_note)
 
 
 FAULTS: Dict[str, Fault] = {
@@ -204,7 +204,7 @@ FAULTS: Dict[str, Fault] = {
         ),
         Fault(
             "ref-journal-drops-meta",
-            "ReferenceJournal.record_meta becomes a no-op (rollback "
+            "ReferenceSnapshot.record_meta becomes a no-op (rollback "
             "leaves stale ancestor bookkeeping after a crash)",
             "rollback",
             _install_ref_journal_drops_meta,
@@ -212,7 +212,7 @@ FAULTS: Dict[str, Fault] = {
         ),
         Fault(
             "ref-journal-drops-items",
-            "ReferenceJournal.record_items becomes a no-op (crashed "
+            "ReferenceSnapshot.record_items becomes a no-op (crashed "
             "bset rolls back structure but not labels)",
             "rollback",
             _install_ref_journal_drops_items,
@@ -220,7 +220,7 @@ FAULTS: Dict[str, Fault] = {
         ),
         Fault(
             "flat-journal-drops-slots",
-            "FlatJournal.save_slot becomes a no-op (rollback misses "
+            "FlatSnapshot.save_slot becomes a no-op (rollback misses "
             "every per-slot pre-image)",
             "rollback",
             _install_flat_journal_drops_slots,
@@ -228,7 +228,7 @@ FAULTS: Dict[str, Fault] = {
         ),
         Fault(
             "flat-journal-drops-free-tail",
-            "FlatJournal.note_free_pops becomes a no-op (recycled "
+            "FlatSnapshot.note_free_pops becomes a no-op (recycled "
             "slots orphaned after a crashed batch)",
             "rollback",
             _install_flat_journal_drops_free_tail,

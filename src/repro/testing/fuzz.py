@@ -1,45 +1,60 @@
-"""CLI entry point: ``python -m repro.testing.fuzz``.
+"""The one fuzz CLI: ``python -m repro.testing.fuzz``.
 
 Modes
 -----
 
-* **fuzz** (default): generate a deterministic op sequence per scenario
-  from ``--seed``, replay it with full oracle checks; on violation,
-  shrink to a near-minimal reproducer, write it to the corpus
-  (``tests/corpus/``) and exit 1.  Exit 0 means *zero* invariant or
-  oracle violations.
+* **fuzz** (default): run ``--runs`` consecutive seeds from ``--seed``
+  through each ``--scenario`` of the registry
+  (:mod:`repro.testing.scenarios`), auditing every run.  A failing run
+  writes its reproducer (shrunk, for the op-program scenarios) to the
+  corpus and the exit code becomes 1.  Each scenario ends with a
+  summary tally; ``--require-coverage`` fails unless every coverage
+  class of the scenario was observed.
+* **--replay PATH**: re-run one corpus entry through its scenario and
+  check everything it pins (:func:`~repro.testing.scenarios.replay_entry`).
 * **--self-test**: fault-injection self-verification — for every
   registered fault, prove the fuzzer finds the planted bug, shrinks it
   to a small reproducer (≤ ``--max-shrunk-ops``), and that the shrunk
   program passes once the fault is removed.
 
+Scenarios (``all`` = ``list`` + ``contraction``, with contraction at a
+tenth of ``--ops``): ``list``, ``contraction``, ``crash`` (mid-batch
+crash injection, crash seed = program seed), ``faults`` (runtime fault
+recovery), ``snapshots`` (snapshot save/restore crash + corruption),
+``serve`` (serving-layer chaos; ``--ops`` is requests per run).
+
 Examples::
 
     PYTHONPATH=src python -m repro.testing.fuzz --seed 0 --ops 2000 --backend both
-    PYTHONPATH=src python -m repro.testing.fuzz --scenario contraction --ops 300
+    PYTHONPATH=src python -m repro.testing.fuzz --scenario crash --runs 200 --ops 80
+    PYTHONPATH=src python -m repro.testing.fuzz --scenario faults --runs 200 --require-coverage
     PYTHONPATH=src python -m repro.testing.fuzz --self-test
     PYTHONPATH=src python -m repro.testing.fuzz --replay tests/corpus/foo.json
 
-Exit codes: 0 clean, 1 violation found (reproducer written), 2 usage /
-self-test harness failure.
+Exit codes: 0 clean, 1 violation found (reproducer written), 2 usage
+error, budget exhaustion, coverage failure or self-test harness
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from typing import List, Optional
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence
 
-from ..errors import BudgetExceededError
-from . import corpus as corpus_mod
+from ..errors import BudgetExceededError, InvalidParameterError
+from .corpus import save_entry
 from .executor import run_sequence
 from .faults import FAULTS
 from .generator import generate
 from .ops import OpSequence
+from .scenarios import SCENARIOS, FuzzOptions, covered, replay_entry
 from .shrinker import shrink
 
-__all__ = ["main", "fuzz_once", "self_test"]
+__all__ = ["fuzz", "main", "self_test"]
 
 # Contraction batches are ~an order of magnitude heavier than list ops
 # (each one re-derives the rake trace); 'all' scales them down so the
@@ -47,89 +62,75 @@ __all__ = ["main", "fuzz_once", "self_test"]
 CONTRACTION_OPS_DIVISOR = 10
 
 
-def fuzz_once(
-    scenario: str,
-    seed: int,
-    n_ops: int,
+def fuzz(
+    scenarios: Sequence[str],
     *,
-    backend: str = "both",
-    check_every: int = 1,
-    fault: Optional[str] = None,
-    crash_seed: Optional[int] = None,
-    profile: str = "default",
-    save_dir: Optional[str] = None,
+    seed: int = 0,
+    runs: int = 1,
+    options: Optional[FuzzOptions] = None,
+    corpus_dir: Optional[str] = None,
     save: bool = True,
-    verbose: bool = True,
-    max_shrink_replays: int = 600,
-    op_budget: Optional[int] = None,
-    wall_timeout: Optional[float] = None,
-):
-    """Generate + replay one sequence; shrink and persist on failure.
-
-    ``crash_seed`` arms mid-batch crash injection (crashes.py): every
-    transactional batch crashes at a seeded interior point, the
-    rollback is audited bit-for-bit, and the batch is re-applied
-    cleanly.  Returns ``(report, shrunk_or_None, corpus_path_or_None)``.
-    """
-    seq = generate(scenario, seed, n_ops, profile=profile)
-    t0 = time.perf_counter()
-    report = run_sequence(
-        seq, backend=backend, check_every=check_every, fault=fault,
-        crash_seed=crash_seed, op_budget=op_budget,
-        wall_timeout=wall_timeout,
-    )
-    dt = time.perf_counter() - t0
-    if verbose:
-        status = "ok" if report.ok else "FAIL"
-        crashinfo = "" if crash_seed is None else f"crashes={report.crashes}  "
+    require_coverage: bool = False,
+    quiet: bool = False,
+) -> int:
+    """Run ``runs`` seeds through each named scenario; returns the exit
+    code (see module docstring)."""
+    base = options or FuzzOptions()
+    tallies: Dict[str, Dict[str, int]] = {name: {} for name in scenarios}
+    failed = dict.fromkeys(scenarios, 0)
+    spent = dict.fromkeys(scenarios, 0.0)
+    runs = max(1, runs)
+    for run in range(runs):
+        for name in scenarios:
+            scenario = SCENARIOS[name]
+            n_ops = scenario.default_ops if base.ops is None else base.ops
+            if name == "contraction" and len(scenarios) > 1:
+                n_ops = max(1, n_ops // CONTRACTION_OPS_DIVISOR)
+            t0 = time.perf_counter()
+            try:
+                out = scenario.run(seed + run, replace(base, ops=n_ops))
+            except BudgetExceededError as exc:
+                print(
+                    f"[{name}] budget exceeded ({exc.budget}) on seed "
+                    f"{seed + run}: {exc}",
+                    file=sys.stderr,
+                )
+                return 2
+            spent[name] += time.perf_counter() - t0
+            for key, count in out.tally.items():
+                tallies[name][key] = tallies[name].get(key, 0) + count
+            if not quiet:
+                status = "ok" if out.ok else "FAIL"
+                print(f"[{name}] {status:>4}  {out.line}")
+            if out.ok:
+                continue
+            failed[name] += 1
+            print(f"[{name}] violation: {out.failure}")
+            if save and out.entry is not None:
+                path = save_entry(out.entry, corpus_dir)
+                print(f"[{name}] reproducer written to {path}")
+    rc = 1 if any(failed.values()) else 0
+    for name in scenarios:
+        tally = tallies[name]
+        classes = SCENARIOS[name].coverage
+        hit = [c for c in classes if covered(c, tally)]
+        parts = [f"{k}={v}" for k, v in sorted(tally.items())]
+        if classes:
+            parts.append(f"coverage {len(hit)}/{len(classes)}")
         print(
-            f"[fuzz] {status:>4}  {seq.describe()}  backend={backend}  "
-            f"ops={report.ops_executed}/{len(seq.ops)}  "
-            f"checks={report.checks}  {crashinfo}final_n={report.final_n}  "
-            f"{dt:.2f}s"
+            f"[{name}] {runs} runs in {spent[name]:.1f}s, "
+            f"{failed[name]} failed"
+            + (": " + "  ".join(parts) if parts else "")
         )
-    if report.ok:
-        return report, None, None
-
-    if verbose:
-        print(f"[fuzz] violation: {report.failure}")
-        print("[fuzz] shrinking ...")
-
-    def fails(cand: OpSequence) -> bool:
-        return not run_sequence(
-            cand, backend=backend, check_every=1, fault=fault,
-            crash_seed=crash_seed,
-        ).ok
-
-    result = shrink(seq, fails, max_replays=max_shrink_replays)
-    shrunk = result.sequence
-    final = run_sequence(
-        shrunk, backend=backend, check_every=1, fault=fault,
-        crash_seed=crash_seed,
-    )
-    if verbose:
-        print(
-            f"[fuzz] shrunk {len(seq.ops)} ops -> {len(shrunk.ops)} ops "
-            f"(size {seq.size} -> {shrunk.size}, {result.attempts} replays)"
-        )
-        print(f"[fuzz] minimal failure: {final.failure}")
-    path = None
-    if save and fault is None:
-        # Fault-injected failures are synthetic; only real bugs join the
-        # regression corpus.
-        extra = {"backend": backend, "generator_seed": seed}
-        if crash_seed is not None:
-            # The replay test re-arms the same crash schedule.
-            extra["crash_seed"] = crash_seed
-        path = corpus_mod.save_entry(
-            shrunk,
-            save_dir,
-            failure=str(final.failure),
-            extra_meta=extra,
-        )
-        if verbose:
-            print(f"[fuzz] reproducer written to {path}")
-    return report, shrunk, path
+        missing = [c for c in classes if c not in hit]
+        if require_coverage and rc == 0 and missing:
+            print(
+                f"[{name}] coverage failure: no {'/'.join(missing)} "
+                "observed — widen --runs",
+                file=sys.stderr,
+            )
+            rc = 2
+    return rc
 
 
 def self_test(
@@ -216,19 +217,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.testing.fuzz", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--seed", type=int, default=0, help="generator seed")
-    ap.add_argument("--ops", type=int, default=500, help="ops per sequence")
+    ap.add_argument("--seed", type=int, default=0, help="first seed")
+    ap.add_argument(
+        "--runs", type=int, default=1, metavar="K",
+        help="fuzz K consecutive seeds starting at --seed",
+    )
+    ap.add_argument(
+        "--scenario",
+        choices=["all", *SCENARIOS],
+        default="all",
+        help="registered scenario (default: list + contraction)",
+    )
+    ap.add_argument(
+        "--ops", type=int, default=None,
+        help="ops per program / requests per serve run (default per "
+        "scenario: 500, faults 60, serve 200; snapshots ignores it)",
+    )
     ap.add_argument(
         "--backend",
         choices=["reference", "flat", "both"],
         default="both",
-        help="subject backends ('both' = lockstep differential)",
-    )
-    ap.add_argument(
-        "--scenario",
-        choices=["all", "list", "contraction"],
-        default="all",
-        help="workload family (default: both scenarios)",
+        help="subject backends of the program scenarios ('both' = "
+        "lockstep differential)",
     )
     ap.add_argument(
         "--check-every",
@@ -237,58 +247,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="audit every K-th op (1 = every op)",
     )
     ap.add_argument(
-        "--fault",
-        choices=sorted(FAULTS),
-        default=None,
-        help="inject a known fault (demonstration / debugging)",
-    )
-    ap.add_argument(
-        "--self-test",
-        action="store_true",
-        help="run the fault-injection self-verification and exit",
-    )
-    ap.add_argument(
-        "--crash-seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="arm mid-batch crash injection with this seed (list "
-        "scenario; audits crash-consistent rollback on every batch)",
-    )
-    ap.add_argument(
-        "--runs",
-        type=int,
-        default=1,
-        metavar="K",
-        help="fuzz K consecutive seeds starting at --seed (crash-seed "
-        "advances in lockstep when set)",
-    )
-    ap.add_argument(
         "--profile",
         choices=["default", "batch", "faulty"],
         default=None,
-        help="generator op-mix profile (default: 'batch' when "
-        "--crash-seed is set, else 'default')",
+        help="generator op-mix profile of the list and crash scenarios "
+        "(default: 'batch' for crash, else 'default')",
     )
     ap.add_argument(
-        "--replay", metavar="PATH", default=None,
-        help="replay one corpus JSON file instead of generating",
-    )
-    ap.add_argument(
-        "--corpus-dir",
+        "--fault",
+        choices=sorted(FAULTS),
         default=None,
-        help="where to write shrunk reproducers (default tests/corpus/)",
-    )
-    ap.add_argument(
-        "--no-save",
-        action="store_true",
-        help="do not write reproducers to the corpus",
-    )
-    ap.add_argument(
-        "--max-shrunk-ops",
-        type=int,
-        default=12,
-        help="self-test bound on the shrunk reproducer length",
+        help="inject a known code fault into the program scenarios "
+        "(demonstration / debugging; nothing is written to the corpus)",
     )
     ap.add_argument(
         "--op-budget",
@@ -306,68 +276,77 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="abort (exit 2) once one sequence has run S wall-clock "
         "seconds — hang guard; the offending seed stays replayable",
     )
+    ap.add_argument(
+        "--require-coverage", action="store_true",
+        help="exit 2 unless every coverage class of each scenario was "
+        "observed across the runs",
+    )
+    ap.add_argument(
+        "--corpus-dir",
+        default=None,
+        help="where to write reproducers (default tests/corpus/)",
+    )
+    ap.add_argument(
+        "--no-save",
+        action="store_true",
+        help="do not write reproducers to the corpus",
+    )
+    ap.add_argument(
+        "--quiet", action="store_true",
+        help="print violations and summaries only",
+    )
+    ap.add_argument(
+        "--replay", metavar="PATH", default=None,
+        help="replay one corpus entry instead of fuzzing",
+    )
+    ap.add_argument(
+        "--self-test",
+        action="store_true",
+        help="run the fault-injection self-verification and exit",
+    )
+    ap.add_argument(
+        "--max-shrunk-ops",
+        type=int,
+        default=12,
+        help="self-test bound on the shrunk reproducer length",
+    )
     args = ap.parse_args(argv)
 
     if args.self_test:
         return self_test(max_shrunk_ops=args.max_shrunk_ops)
 
     if args.replay:
-        seq = corpus_mod.load_entry(args.replay)
-        crash = args.crash_seed
-        if crash is None:
-            crash = seq.meta.get("crash_seed")
         try:
-            report = run_sequence(
-                seq, backend=args.backend, check_every=args.check_every,
-                fault=args.fault, crash_seed=crash,
-                op_budget=args.op_budget, wall_timeout=args.wall_timeout,
-            )
-        except BudgetExceededError as exc:
-            print(f"[replay] budget exceeded ({exc.budget}): {exc}", file=sys.stderr)
+            out = replay_entry(args.replay)
+        except InvalidParameterError as exc:
+            print(f"[replay] {exc}", file=sys.stderr)
             return 2
-        status = "ok" if report.ok else f"FAIL: {report.failure}"
-        print(f"[replay] {seq.describe()}: {status}")
-        return 0 if report.ok else 1
+        status = "ok" if out.ok else f"FAIL: {out.failure}"
+        print(f"[replay] {os.path.basename(args.replay)}: {status}")
+        print(f"[replay]   {out.line}")
+        return 0 if out.ok else 1
 
     scenarios = (
         ["list", "contraction"] if args.scenario == "all" else [args.scenario]
     )
-    profile = args.profile
-    if profile is None:
-        profile = "batch" if args.crash_seed is not None else "default"
-    rc = 0
-    for run in range(max(1, args.runs)):
-        seed = args.seed + run
-        crash = None if args.crash_seed is None else args.crash_seed + run
-        for scenario in scenarios:
-            n_ops = args.ops
-            if scenario == "contraction" and args.scenario == "all":
-                n_ops = max(1, args.ops // CONTRACTION_OPS_DIVISOR)
-            try:
-                report, shrunk, _path = fuzz_once(
-                    scenario,
-                    seed,
-                    n_ops,
-                    backend=args.backend,
-                    check_every=args.check_every,
-                    fault=args.fault,
-                    crash_seed=crash,
-                    profile=profile if scenario == "list" else "default",
-                    save_dir=args.corpus_dir,
-                    save=not args.no_save,
-                    op_budget=args.op_budget,
-                    wall_timeout=args.wall_timeout,
-                )
-            except BudgetExceededError as exc:
-                print(
-                    f"[fuzz] budget exceeded ({exc.budget}) on seed "
-                    f"{seed}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            if not report.ok:
-                rc = 1
-    return rc
+    return fuzz(
+        scenarios,
+        seed=args.seed,
+        runs=args.runs,
+        options=FuzzOptions(
+            ops=args.ops,
+            backend=args.backend,
+            check_every=args.check_every,
+            fault=args.fault,
+            profile=args.profile,
+            op_budget=args.op_budget,
+            wall_timeout=args.wall_timeout,
+        ),
+        corpus_dir=args.corpus_dir,
+        save=not args.no_save,
+        require_coverage=args.require_coverage,
+        quiet=args.quiet,
+    )
 
 
 if __name__ == "__main__":

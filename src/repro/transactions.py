@@ -14,11 +14,12 @@ a batch".  This module supplies the three pieces both backends share:
    ``last_batch_stats`` reset to ``{}`` so a stale previous-batch
    report cannot masquerade as this batch's outcome.
 
-2. **Journals** (:class:`ReferenceJournal` for the pointer-graph
-   backend, :class:`FlatJournal` for the struct-of-arrays backend):
-   undo logs capturing pre-images at every mutation hook so that any
-   exception escaping mid-apply restores the pre-batch state
-   bit-for-bit — structure, shortcut lists, summaries,
+2. **Journals** (:class:`~repro.snapshots.core.ReferenceSnapshot` for
+   the pointer-graph backend, :class:`~repro.snapshots.core.FlatSnapshot`
+   for the struct-of-arrays backend, opened by each tree's
+   ``_txn_begin``): undo logs capturing pre-images at every mutation
+   hook so that any exception escaping mid-apply restores the
+   pre-batch state bit-for-bit — structure, shortcut lists, summaries,
    ``last_batch_stats`` and ``rng_state()`` all equal the pre-batch
    snapshot (DESIGN.md §7 maps this to the Theorems 2.2/2.3
    distribution-preservation claim).
@@ -68,11 +69,6 @@ from .errors import (
     RequestRejection,
     batch_validation_error,
 )
-from .snapshots.core import (
-    FLAT_COLUMNS as _SNAP_FLAT_COLUMNS,
-    FlatSnapshot,
-    ReferenceSnapshot,
-)
 
 __all__ = [
     "POLICIES",
@@ -81,8 +77,6 @@ __all__ = [
     "validate_batch_insert",
     "validate_batch_delete",
     "validate_batch_update",
-    "ReferenceJournal",
-    "FlatJournal",
     "execute_batch",
 ]
 
@@ -241,48 +235,6 @@ def validate_batch_update(
                 )
             )
     return rejections
-
-
-# ---------------------------------------------------------------------------
-# journals — thin wrappers over the unified snapshot layer (PR 8)
-# ---------------------------------------------------------------------------
-#
-# The undo-log and column-epoch machinery that used to live here moved
-# wholesale into :mod:`repro.snapshots.core`, where the SAME classes
-# also serve as the resilience layer's checkpoints and the persistence
-# layer's capture sources.  The journal names survive as aliases so
-# PR 3-era call sites (and the fault injectors that monkey-patch
-# recording hooks) keep working unchanged.
-
-#: Canonical flat-column tuple (re-exported; source of truth lives in
-#: :mod:`repro.snapshots.core`).
-_FLAT_COLUMNS = _SNAP_FLAT_COLUMNS
-
-
-class ReferenceJournal(ReferenceSnapshot):
-    """Undo log for one transactional batch on the pointer-graph RBSTS
-    — now an alias for :class:`repro.snapshots.core.ReferenceSnapshot`.
-
-    Recording hooks are called from ``RBSTS`` internals while the
-    recording seam ``tree._journal`` is installed; outside a
-    transaction it is ``None`` and every hook site is a single
-    attribute test.
-    """
-
-    __slots__ = ()
-
-
-class FlatJournal(FlatSnapshot):
-    """Epoch snapshot + lazy per-slot pre-images for ``FlatRBSTS`` —
-    now an alias for :class:`repro.snapshots.core.FlatSnapshot`.
-
-    Slots created during the transaction live past the snapshot length
-    and are discarded by column truncation; pre-existing slots get one
-    12-column pre-image captured at their first mutation.  The free
-    list is restored with the min-length tail trick (module docstring).
-    """
-
-    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

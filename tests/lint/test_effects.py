@@ -149,6 +149,27 @@ def test_registry_drift_is_a_finding():
     assert len(drift) == 1 and drift[0].line == 0
 
 
+def test_allowlist_drift_is_a_finding():
+    report = _run_fixtures(
+        effect_allowlist={
+            "R204": {
+                "r204_swallow.py::swallow": "fixture justification",
+                "r204_swallow.py::no_such_function": "stale key",
+            },
+        }
+    )
+    drift = [f for f in report.findings if "registry drift" in f.message]
+    assert len(drift) == 1
+    (f,) = drift
+    assert (f.rule, f.path, f.line) == ("R204", "r204_swallow.py", 0)
+    assert "no_such_function" in f.message
+    # the live key still drops its finding
+    assert not [
+        f for f in _by_rule(report, "R204")
+        if f.path == "r204_swallow.py" and "swallows" in f.message
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the repro.serve registration (PR 10) — planted twins of the real shapes
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.testing import generate, run_sequence
+from repro.testing.corpus import make_entry, save_entry
 from repro.testing.fuzz import main
 from repro.testing.ops import OpSequence
 
@@ -100,6 +101,28 @@ def test_cli_main_clean_run():
 
 def test_cli_replay_corpus_entry(tmp_path):
     seq = generate("list", 7, 40)
-    path = tmp_path / "entry.json"
-    path.write_text(seq.dumps())
-    assert main(["--replay", str(path), "--backend", "both"]) == 0
+    entry = make_entry("list", {"backend": "both"}, program=seq)
+    path = save_entry(entry, str(tmp_path))
+    assert main(["--replay", path, "--backend", "both"]) == 0
+
+
+def test_cli_crash_scenario_gates_on_fired_crashes(capsys):
+    rc = main(
+        ["--scenario", "crash", "--runs", "2", "--ops", "20", "--no-save",
+         "--quiet", "--require-coverage"]
+    )
+    assert rc == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    assert summary.startswith("[crash] 2 runs")
+    assert "crash-fired=2" in summary and "coverage 1/1" in summary
+    crashes = int(summary.split("crashes=")[1].split()[0])
+    assert crashes >= 2
+
+
+def test_cli_require_coverage_fails_on_a_missing_class(capsys):
+    rc = main(
+        ["--scenario", "faults", "--runs", "1", "--ops", "10", "--no-save",
+         "--require-coverage"]
+    )
+    assert rc == 2
+    assert "coverage failure" in capsys.readouterr().err
