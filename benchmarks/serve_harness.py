@@ -4,9 +4,12 @@ Drives an open-loop firehose of seeded write/read traffic (the
 ``serve`` generator profile, Zipf-skewed across shards) at a live
 :class:`repro.serve.service.BatchService` once per window size ``w``
 (``policy.max_batch``), and records per-cell throughput plus latency
-quantiles.  The headroom policy (deep queues, shedding disabled, no
-faults, no poison) isolates the one variable under test: how much
-per-window overhead the coalescing amortises.
+quantiles.  Throughput counts every answered request; goodput counts
+only the ``applied`` ones, and ``rejected`` (failed admission, which
+grows with the window) is reported beside it.  The headroom policy
+(deep queues, shedding disabled, no faults, no poison) isolates the one
+variable under test: how much per-window overhead the coalescing
+amortises.
 
 The sweep is the paper's batching story measured end-to-end: ``w=1``
 executes one request per supervised window (every request pays
@@ -16,8 +19,8 @@ flattens.
 
 Writes ``BENCH_SERVE.json`` (schema ``repro-serve-bench/1``) at the
 repo root; ``benchmarks/regress.py`` gates on the same-machine ratio
-``throughput(w=32) / throughput(w=1)`` so no baseline artifact or
-machine normalisation is needed.
+``goodput(w=32) / goodput(w=1)`` so no baseline artifact or machine
+normalisation is needed.
 
 Run:  PYTHONPATH=src python benchmarks/serve_harness.py [--quick]
           [--out BENCH_SERVE.json]
@@ -82,6 +85,8 @@ async def _drive(service: BatchService, specs: List[Any]) -> Dict[str, Any]:
     return {
         "elapsed_s": round(elapsed, 6),
         "throughput_rps": round(len(specs) / elapsed, 1),
+        "goodput_rps": round(statuses.get("applied", 0) / elapsed, 1),
+        "rejected": statuses.get("rejected", 0),
         "latency_p50_ms": round(_quantile(latencies, 0.50) * 1e3, 4),
         "latency_p95_ms": round(_quantile(latencies, 0.95) * 1e3, 4),
         "latency_p99_ms": round(_quantile(latencies, 0.99) * 1e3, 4),
@@ -129,16 +134,16 @@ def run(quick: bool = False) -> Dict[str, Any]:
         cells.append(cell)
         print(
             f"w={window:<4} tput {cell['throughput_rps']:>9.1f} req/s  "
+            f"goodput {cell['goodput_rps']:>9.1f} req/s  "
+            f"rejected {cell['rejected']:>3}  "
             f"p50 {cell['latency_p50_ms']:.2f}ms  "
             f"p95 {cell['latency_p95_ms']:.2f}ms  "
             f"p99 {cell['latency_p99_ms']:.2f}ms  "
             f"windows {cell['windows']}"
         )
     by_window = {c["window"]: c for c in cells}
-    ratio = (
-        by_window[32]["throughput_rps"] / by_window[1]["throughput_rps"]
-    )
-    print(f"batching speedup tput(w=32)/tput(w=1): {ratio:.2f}x")
+    ratio = by_window[32]["goodput_rps"] / by_window[1]["goodput_rps"]
+    print(f"batching speedup goodput(w=32)/goodput(w=1): {ratio:.2f}x")
     return {
         "schema": SCHEMA,
         "quick": quick,

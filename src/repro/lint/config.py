@@ -38,8 +38,6 @@ class ParityPair:
     their parameter lists) or ``"function"`` (compare parameter lists).
     ``allow_extra_flat``/``allow_extra_ref`` name members that may exist
     on one side only (each with a justification in ``notes``).
-    ``param_renames`` maps reference-side parameter names to their
-    accepted flat-side spelling.
     """
 
     name: str
@@ -50,7 +48,6 @@ class ParityPair:
     flat_symbol: str
     allow_extra_ref: FrozenSet[str] = frozenset()
     allow_extra_flat: FrozenSet[str] = frozenset()
-    param_renames: Mapping[str, str] = field(default_factory=dict)
     notes: str = ""
 
 
@@ -116,19 +113,6 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
             "function build_trace); the removal property materialises "
             "the reference-shaped removal dict on demand (the "
             "reference keeps it as a plain instance attribute)."
-        ),
-    ),
-    ParityPair(
-        name="extended-parse-tree",
-        kind="function",
-        ref_path="src/repro/splitting/parse_tree.py",
-        ref_symbol="build_extended_parse_tree",
-        flat_path="src/repro/perf/flat_prefix.py",
-        flat_symbol="flat_extended_parse_tree",
-        param_renames={"root": "tree"},
-        notes=(
-            "the reference walks from a node, the flat twin from the "
-            "tree (slots need the column arrays)."
         ),
     ),
 )

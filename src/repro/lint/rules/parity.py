@@ -87,8 +87,7 @@ class BackendParityRule(Rule):
         assert isinstance(flat, (ast.FunctionDef, ast.AsyncFunctionDef))
         ref_params = _params(ref, drop_self=False)
         flat_params = _params(flat, drop_self=False)
-        mapped = tuple(pair.param_renames.get(p, p) for p in ref_params)
-        if mapped != flat_params:
+        if ref_params != flat_params:
             yield self.finding(
                 flat_mod,
                 flat,
@@ -133,10 +132,7 @@ class BackendParityRule(Rule):
                     f"on {pair.flat_symbol}",
                 )
                 continue
-            mapped = tuple(
-                pair.param_renames.get(p, p) for p in member.params
-            )
-            if member.kind == "method" and mapped != twin.params:
+            if member.kind == "method" and member.params != twin.params:
                 yield self.finding(
                     flat_mod,
                     twin.node,

@@ -12,6 +12,11 @@ leaves ``U`` is answered by:
    summaries (span ``O(log |P̂T(U)|)``) and reading off the queried
    positions.
 
+The flat backend fuses steps 2 and 3 into one walk of the activated
+region (:mod:`repro.perf.flat_prefix`); the reference backend builds
+the :class:`~repro.splitting.parse_tree.ExtendedParseTree` objects.
+Both fold the same entries in the same order and charge the same cost.
+
 The same machinery answers *range folds* (fold of the values strictly
 between two leaves, inclusive), which §5 uses for LCA via Euler tours.
 
@@ -25,7 +30,7 @@ import math
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..algebra.monoid import Monoid
-from ..errors import RequestError
+from ..errors import RequestError, UnknownNodeError
 from ..pram.frames import SpanTracker
 from ..splitting.activation import activate, deactivate
 from ..splitting.build import Summarizer
@@ -137,30 +142,40 @@ class IncrementalListPrefix:
         """Inclusive prefix folds at a set of leaves (Theorem 3.1).
 
         Returns results in request order.  Expected span
-        ``O(log(|U| log n))``.
+        ``O(log(|U| log n))``.  A handle that is not a live leaf of this
+        sequence raises :class:`~repro.errors.UnknownNodeError` before
+        anything is activated.
         """
         if not handles:
             return []
+        if not self._flat:
+            # The flat activation checks its handles; the pointer walk
+            # would mark a foreign tree's nodes before failing.
+            for h in handles:
+                if not self.tree.contains(h):
+                    raise UnknownNodeError("leaf does not belong to this RBSTS")
         tracker = tracker if tracker is not None else SpanTracker()
         result = activate(self.tree, handles, tracker)
         try:
-            pat = self._parse_tree(result, handles)
-            sums = pat.summary_values()
+            if self._flat:
+                from ..perf.flat_prefix import flat_batch_prefix
+
+                answers, k = flat_batch_prefix(self.tree, self.monoid, handles)
+            else:
+                pat = build_extended_parse_tree(
+                    self.tree.root, result.node_set(), handles
+                )
+                inclusive: dict[int, Any] = {}
+                running = self.monoid.identity
+                for entry in pat.entries:
+                    running = self.monoid.combine(running, entry.node.summary)
+                    inclusive[id(entry.node)] = running
+                answers = [inclusive[id(h)] for h in handles]
+                k = len(pat.entries)
             # Parallel prefix over the P̂T(U) leaf sequence: charged at
             # the textbook span O(log k), work O(k).
-            k = len(sums)
             tracker.charge(work=2 * k, span=max(1, 2 * math.ceil(math.log2(k + 1))))
-            inclusive: dict[int, Any] = {}
-            scanned = self._prefix_scan(sums)
-            if scanned is None:
-                running = self.monoid.identity
-                for entry, s in zip(pat.entries, sums):
-                    running = self.monoid.combine(running, s)
-                    inclusive[id(entry.node)] = running
-            else:
-                for entry, r in zip(pat.entries, scanned):
-                    inclusive[id(entry.node)] = r
-            return [inclusive[id(h)] for h in handles]
+            return answers
         finally:
             deactivate(result)
 
@@ -183,44 +198,27 @@ class IncrementalListPrefix:
         tracker = tracker if tracker is not None else SpanTracker()
         result = activate(self.tree, handles, tracker)
         try:
-            pat = self._parse_tree(result, handles)
-            k = len(pat.entries)
+            if self._flat:
+                from ..perf.flat_prefix import flat_range_fold
+
+                acc, k = flat_range_fold(self.tree, self.monoid, i, j)
+            else:
+                pat = build_extended_parse_tree(
+                    self.tree.root, result.node_set(), handles
+                )
+                acc = self.monoid.identity
+                pos = 0
+                for entry in pat.entries:
+                    width = entry.node.n_leaves
+                    # Entry covers sequence positions [pos, pos + width).
+                    if pos >= i and pos + width - 1 <= j:
+                        acc = self.monoid.combine(acc, entry.node.summary)
+                    pos += width
+                k = len(pat.entries)
             tracker.charge(work=2 * k, span=max(1, 2 * math.ceil(math.log2(k + 1))))
-            acc = self.monoid.identity
-            pos = 0
-            for entry in pat.entries:
-                width = entry.node.n_leaves
-                # Entry covers sequence positions [pos, pos + width).
-                if pos >= i and pos + width - 1 <= j:
-                    acc = self.monoid.combine(acc, entry.node.summary)
-                pos += width
             return acc
         finally:
             deactivate(result)
-
-    # -- internals --------------------------------------------------------
-    def _prefix_scan(self, sums: Sequence[Any]) -> Optional[List[Any]]:
-        """The running fold of the P̂T(U) summaries via the vectorized
-        doubling scan, or ``None`` to use the sequential loop.
-
-        Only ring-sum monoids over exact vector rings are eligible
-        (``flat_prefix_scan``), where scan ≡ fold outright — answers
-        are identical on every backend either way.
-        """
-        if not self._flat:
-            return None
-        from ..perf.flat_prefix import flat_prefix_scan
-
-        return flat_prefix_scan(self.monoid, sums)
-
-    def _parse_tree(self, result, handles):
-        """Flatten ``P̂T(U)`` with the construction matching the active
-        backend; the produced entry sequence is identical either way."""
-        if self._flat:
-            from ..perf.flat_prefix import flat_extended_parse_tree
-
-            return flat_extended_parse_tree(self.tree, result.node_set(), handles)
-        return build_extended_parse_tree(self.tree.root, result.node_set(), handles)
 
     # -- updates ---------------------------------------------------------
     def insert(

@@ -11,9 +11,9 @@ cores.  This package holds those cores:
   ``RBSTS(items, backend="flat")``.
 * :mod:`~repro.perf.flat_activation` — Theorem 2.1 processor activation
   over the flat arrays.
-* :mod:`~repro.perf.flat_prefix` — extended parse-tree flattening
-  (``P̂T(U)``, §3) over the flat arrays, feeding
-  :class:`~repro.listprefix.structure.IncrementalListPrefix`.
+* :mod:`~repro.perf.flat_prefix` — the §3 prefix folds of
+  :class:`~repro.listprefix.structure.IncrementalListPrefix` over the
+  flat arrays (one walk of the activated region per batch query).
 * :mod:`~repro.perf.flat_contraction` — ``FlatContraction``, the rake
   tree of §4.2 over parallel label/topology columns with memoised
   replay; selected via ``DynamicTreeContraction(tree, backend="flat")``.
@@ -28,12 +28,7 @@ shortcut lists, same summaries, same activation round counts.
 
 from .flat_activation import FlatActivationResult, flat_activate, flat_deactivate
 from .flat_contraction import FlatContraction
-from .flat_prefix import (
-    FlatSummaryRef,
-    flat_extended_parse_tree,
-    flat_prefix_fold,
-    flat_prefix_scan,
-)
+from .flat_prefix import flat_batch_prefix, flat_prefix_fold, flat_range_fold
 from .flat_rbsts import FlatLeaf, FlatRBSTS
 from .kernels import (
     KERNEL_ENV,
@@ -51,16 +46,15 @@ __all__ = [
     "FlatContraction",
     "FlatLeaf",
     "FlatRBSTS",
-    "FlatSummaryRef",
     "KERNEL_ENV",
     "NumpyKernels",
     "PythonKernels",
     "VectorRing",
     "flat_activate",
+    "flat_batch_prefix",
     "flat_deactivate",
-    "flat_extended_parse_tree",
     "flat_prefix_fold",
-    "flat_prefix_scan",
+    "flat_range_fold",
     "kernel_mode",
     "prefix_compose",
     "select_kernels",

@@ -1,107 +1,104 @@
-"""Extended parse-tree flattening (``P̂T(U)``, §3) over the flat arrays.
-
-The reference pipeline (:mod:`repro.splitting.parse_tree`) walks the
-activated pointer graph and keys membership by ``id(node)``; here the
-activated set is a set of slot indices and the walk reads the
-``left``/``right`` arrays directly.  The produced
-:class:`~repro.splitting.parse_tree.ExtendedParseTree` is structurally
-identical — same entry order, same kinds, same summaries — so
-:class:`~repro.listprefix.structure.IncrementalListPrefix` consumes it
-without backend-specific code downstream of construction:
-
-* real ``U``-leaf entries carry the *interned* :class:`FlatLeaf`
-  handle, so the caller's ``id(handle)`` keyed read-off works
-  unchanged;
-* foreign subtrees become :class:`FlatSummaryRef` stubs exposing just
-  ``summary`` and ``n_leaves`` (all the prefix/range-fold passes read).
+"""§3 prefix folds over the flat arrays.
 
 :func:`flat_prefix_fold` is the sequential one-leaf prefix walk of
-§1.2 over the arrays; :func:`flat_prefix_scan` is the batched running
-fold routed through the §3 vectorized doubling scan
-(:func:`~repro.perf.kernels.prefix_compose`) for ring-sum monoids over
-exact vector rings.
+§1.2 over the ``parent``/``left`` arrays.
+
+:func:`flat_batch_prefix` and :func:`flat_range_fold` answer the
+Theorem 3.1 batch queries in *one* depth-first walk of the activated
+region: membership is read straight from the ``active`` column that
+:func:`~repro.perf.flat_activation.flat_activate` sets, and every child
+outside it is a leaf of the extended parse tree ``P̂T(U)`` whose
+``summary`` joins a running left-to-right ``monoid.combine``.  The walk
+visits exactly the entries, in exactly the order, that the reference
+:func:`~repro.splitting.parse_tree.build_extended_parse_tree` lists, so
+the answers and the entry count ``k`` (which the callers charge as the
+parallel prefix's cost) are identical on both backends — no entry
+objects are built.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..algebra.monoid import Monoid
 from ..errors import ParseTreeError
-from ..splitting.parse_tree import ExtendedParseTree, PTEntry
 from .flat_rbsts import NIL, FlatLeaf, FlatRBSTS
-from .kernels import prefix_compose, vector_ring_for
 
-__all__ = [
-    "FlatSummaryRef",
-    "flat_extended_parse_tree",
-    "flat_prefix_fold",
-    "flat_prefix_scan",
-]
-
-#: Below this many summaries the sequential fold wins (list→array
-#: conversion dominates); both paths are exact, so the answer cannot
-#: depend on the choice.
-FLAT_SCAN_CUTOFF = 192
+__all__ = ["flat_batch_prefix", "flat_prefix_fold", "flat_range_fold"]
 
 
-class FlatSummaryRef:
-    """A summarised foreign subtree in ``P̂T(U)``: one slot snapshot
-    exposing exactly what the prefix passes read."""
-
-    __slots__ = ("slot", "summary", "n_leaves")
-
-    def __init__(self, slot: int, summary: Any, n_leaves: int) -> None:
-        self.slot = slot
-        self.summary = summary
-        self.n_leaves = n_leaves
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FlatSummaryRef(slot={self.slot}, n_leaves={self.n_leaves})"
-
-
-def flat_extended_parse_tree(
-    tree: FlatRBSTS,
-    members: Set[int],
-    u_leaves: Sequence[FlatLeaf],
-) -> ExtendedParseTree:
-    """Flatten ``P̂T(U)`` given the activated *slot* set ``members``
-    (from :func:`~repro.perf.flat_activation.flat_activate`).
-
-    Walks only the ``O(|PT(U)|)`` activated region; children outside
-    ``members`` become summary entries without being descended into.
-    """
-    u_slots = {tree._check_handle(h) for h in u_leaves}
-    left, right = tree._left, tree._right
-    summary, counts = tree._summary, tree._n_leaves
-    entries: List[PTEntry] = []
-    pt_size = 0
+def _activated_root(tree: FlatRBSTS) -> int:
     root = tree.root_index
-    if root not in members:
+    if not tree._active[root]:
         raise ParseTreeError("root is not part of the activated parse tree")
-    stack: List[int] = [root]
+    return root
+
+
+def flat_batch_prefix(
+    tree: FlatRBSTS, monoid: Monoid, handles: Sequence[FlatLeaf]
+) -> Tuple[List[Any], int]:
+    """Inclusive prefix folds at the activated ``U``-leaves ``handles``,
+    in request order, plus the ``P̂T(U)`` entry count ``k``.
+
+    ``handles`` must already be activated (and therefore checked) by
+    :func:`~repro.perf.flat_activation.flat_activate`; the only active
+    leaves are the ``U``-leaves, so the running fold is recorded at each
+    of them.
+    """
+    left, right, summary, active = tree._left, tree._right, tree._summary, tree._active
+    combine = monoid.combine
+    stack = [_activated_root(tree)]
+    pop, push = stack.pop, stack.append
+    acc = monoid.identity
+    at: Dict[int, Any] = {}
+    k = 0
     while stack:
-        node = stack.pop()
-        if node in members:
-            pt_size += 1
-            if left[node] == NIL:
-                if node in u_slots:
-                    entries.append(PTEntry(tree.handle(node), "leaf"))
-                else:
-                    entries.append(
-                        PTEntry(FlatSummaryRef(node, summary[node], 1), "summary")
-                    )
-            else:
-                stack.append(right[node])
-                stack.append(left[node])
+        node = pop()
+        if active[node]:
+            child = left[node]
+            if child != NIL:
+                push(right[node])
+                push(child)
+                continue
+            acc = combine(acc, summary[node])
+            at[node] = acc
         else:
-            entries.append(
-                PTEntry(
-                    FlatSummaryRef(node, summary[node], counts[node]), "summary"
-                )
-            )
-    root_ref = FlatSummaryRef(root, summary[root], counts[root])
-    return ExtendedParseTree(root=root_ref, entries=entries, pt_size=pt_size)  # type: ignore[arg-type]
+            acc = combine(acc, summary[node])
+        k += 1
+    return [at[h.idx] for h in handles], k
+
+
+def flat_range_fold(
+    tree: FlatRBSTS, monoid: Monoid, i: int, j: int
+) -> Tuple[Any, int]:
+    """Fold of the ``P̂T(U)`` entries lying inside positions ``[i, j]``
+    of the activated tree, plus the entry count ``k``.
+
+    With ``U`` = the two endpoint leaves, the entries inside the range
+    tile it exactly, so this is the fold of values ``i..j`` for any
+    monoid.
+    """
+    left, right, active = tree._left, tree._right, tree._active
+    summary, counts = tree._summary, tree._n_leaves
+    combine = monoid.combine
+    stack = [_activated_root(tree)]
+    pop, push = stack.pop, stack.append
+    acc = monoid.identity
+    pos = 0
+    k = 0
+    while stack:
+        node = pop()
+        if active[node] and left[node] != NIL:
+            push(right[node])
+            push(left[node])
+            continue
+        width = counts[node]
+        # Entry covers sequence positions [pos, pos + width).
+        if pos >= i and pos + width - 1 <= j:
+            acc = combine(acc, summary[node])
+        pos += width
+        k += 1
+    return acc, k
 
 
 def flat_prefix_fold(tree: FlatRBSTS, monoid: Monoid, handle: FlatLeaf) -> Any:
@@ -119,28 +116,3 @@ def flat_prefix_fold(tree: FlatRBSTS, monoid: Monoid, handle: FlatLeaf) -> Any:
         node = p
         p = parent[node]
     return monoid.combine(acc_left, summary[idx])
-
-
-def flat_prefix_scan(monoid: Monoid, sums: Sequence[Any]) -> Optional[List[Any]]:
-    """Inclusive running fold of ``sums`` through the vectorized
-    doubling scan, or ``None`` when the sequential fold must be used.
-
-    Eligible only when ``monoid`` is a ring-sum (``monoid.ring`` set)
-    over an *exact* vector ring: there the scan's bracketing equals the
-    sequential left fold outright, so
-    :meth:`~repro.listprefix.structure.IncrementalListPrefix.batch_prefix`
-    can swap it in without changing a single answer.  Float rings are
-    never eligible (IEEE addition is not associative — the reference
-    fold order is the contract).  Each value becomes the affine label
-    ``(1, v)``, whose composition chain is exactly the running sum —
-    this *is* :func:`~repro.perf.kernels.prefix_compose` with slope 1,
-    including its per-stride magnitude guards for unbounded ``Z``.
-    """
-    ring = getattr(monoid, "ring", None)
-    if ring is None or len(sums) < FLAT_SCAN_CUTOFF:
-        return None
-    vec = vector_ring_for(ring)
-    if vec is None or (vec.modulus is None and vec.guard is None):
-        return None
-    one = ring.one
-    return [b for _, b in prefix_compose(ring, [(one, s) for s in sums])]

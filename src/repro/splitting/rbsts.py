@@ -215,9 +215,14 @@ class RBSTS:
         idx = 0
         node = leaf
         while node.parent is not None:
-            if node is node.parent.right:
-                idx += node.parent.left.n_leaves  # type: ignore[union-attr]
-            node = node.parent
+            parent = node.parent
+            if node is parent.right:
+                idx += parent.left.n_leaves  # type: ignore[union-attr]
+            elif node is not parent.left:
+                # A deleted leaf's discarded ancestors still point up
+                # into the live tree; only the live child link is gone.
+                raise UnknownNodeError("leaf does not belong to this RBSTS")
+            node = parent
         if node is not self.root:
             raise UnknownNodeError("leaf does not belong to this RBSTS")
         return idx
@@ -225,7 +230,10 @@ class RBSTS:
     def contains(self, leaf: BSTNode) -> bool:
         node = leaf
         while node.parent is not None:
-            node = node.parent
+            parent = node.parent
+            if node is not parent.left and node is not parent.right:
+                return False
+            node = parent
         return node is self.root
 
     # ------------------------------------------------------------------

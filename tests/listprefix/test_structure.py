@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.monoid import max_monoid, min_monoid, sum_monoid
 from repro.algebra.rings import INTEGER
-from repro.errors import RequestError
+from repro.errors import RequestError, UnknownNodeError
 from repro.listprefix.structure import IncrementalListPrefix
 from repro.pram.frames import SpanTracker
 
@@ -57,15 +57,56 @@ def test_total_is_exactly_maintained():
     assert lp.total() == 14  # O(1) read, no recomputation
 
 
-def test_batch_prefix_empty():
-    lp = sum_lp([1])
+BACKENDS = ("reference", "flat")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_prefix_empty(backend):
+    lp = IncrementalListPrefix(sum_monoid(INTEGER), [1], backend=backend)
     assert lp.batch_prefix([]) == []
 
 
-def test_batch_prefix_duplicate_handles():
-    lp = sum_lp([1, 2, 3])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_prefix_duplicate_handles(backend):
+    lp = IncrementalListPrefix(sum_monoid(INTEGER), [1, 2, 3], backend=backend)
     h = lp.handle_at(1)
     assert lp.batch_prefix([h, h]) == [3, 3]
+
+
+def _activation_cells(lp):
+    """Every node's (ACTIVE, low) pair — all clear outside a query."""
+    tree = lp.tree
+    if lp._flat:
+        return set(zip(tree._active, tree._low))
+    cells, stack = set(), [tree.root]
+    while stack:
+        node = stack.pop()
+        cells.add((node.active, node.low))
+        if not node.is_leaf:
+            stack.extend((node.left, node.right))
+    return cells
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_prefix_rejects_foreign_and_stale_handles(backend):
+    mono = sum_monoid(INTEGER)
+    a = IncrementalListPrefix(mono, range(10), seed=1, backend=backend)
+    b = IncrementalListPrefix(mono, range(10), seed=2, backend=backend)
+    with pytest.raises(UnknownNodeError):
+        a.batch_prefix([a.handle_at(3), b.handle_at(2)])
+    with pytest.raises(UnknownNodeError):
+        a.batch_prefix([b.handle_at(2)])
+    # The check runs before activation: neither tree is left marked.
+    assert _activation_cells(a) == _activation_cells(b) == {(0, None)}
+    gone = a.handle_at(4)
+    a.batch_delete([gone])
+    with pytest.raises(UnknownNodeError):
+        a.batch_prefix([a.handle_at(0), gone])
+    with pytest.raises(UnknownNodeError):
+        a.range_fold(gone, a.handle_at(6))
+    assert a.batch_prefix(a.handles()) == list(
+        itertools.accumulate(x for x in range(10) if x != 4)
+    )
 
 
 @given(
@@ -137,13 +178,17 @@ def test_batch_prefix_span_beats_sequential():
     assert tracker.span <= 32 * math.log2(n) / 4  # far below |U| log n
 
 
-def test_works_with_noncommutative_monoid():
-    """Prefix machinery needs associativity only: string concatenation."""
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_works_with_noncommutative_monoid(backend):
+    """Prefix machinery needs associativity only: string concatenation
+    pins the fold order of every path."""
     from repro.algebra.monoid import Monoid
 
     concat = Monoid("concat", "", lambda a, b: a + b)
-    lp = IncrementalListPrefix(concat, list("hello world"), seed=3)
+    lp = IncrementalListPrefix(concat, list("hello world"), seed=3, backend=backend)
     hs = lp.handles()
     assert lp.prefix(hs[4]) == "hello"
     assert lp.batch_prefix([hs[10]]) == ["hello world"]
+    assert lp.batch_prefix([hs[7], hs[0], hs[4]]) == ["hello wo", "h", "hello"]
     assert lp.range_fold(hs[6], hs[10]) == "world"
+    assert lp.range_fold(hs[2], hs[8]) == "llo wor"

@@ -428,14 +428,21 @@ def test_listprefix_differential(seed):
     for _ in range(5):
         n = len(ref)
         idxs = sorted(rnd.sample(range(n), rnd.randint(1, min(12, n))))
+        # Duplicate handles in one batch ride along (same answer twice).
+        idxs.append(rnd.choice(idxs))
         rh = [ref.handle_at(i) for i in idxs]
         fh = [flat.handle_at(i) for i in idxs]
-        assert ref.batch_prefix(rh) == flat.batch_prefix(fh)
+        tr_r, tr_f = SpanTracker(), SpanTracker()
+        assert ref.batch_prefix(rh, tr_r) == flat.batch_prefix(fh, tr_f)
+        # Same P̂T(U) entry count on both backends -> identical charges.
+        assert (tr_r.work, tr_r.span) == (tr_f.work, tr_f.span)
         assert ref.prefix(rh[0]) == flat.prefix(fh[0])
         i, j = (sorted(rnd.sample(range(n), 2)) if n > 1 else (0, 0))
-        assert ref.range_fold(ref.handle_at(i), ref.handle_at(j)) == flat.range_fold(
-            flat.handle_at(i), flat.handle_at(j)
-        )
+        tr_r, tr_f = SpanTracker(), SpanTracker()
+        assert ref.range_fold(
+            ref.handle_at(i), ref.handle_at(j), tr_r
+        ) == flat.range_fold(flat.handle_at(i), flat.handle_at(j), tr_f)
+        assert (tr_r.work, tr_r.span) == (tr_f.work, tr_f.span)
         assert ref.total() == flat.total()
         reqs = sorted({rnd.randint(0, n): rnd.randint(-9, 9) for _ in range(3)}.items())
         ref.batch_insert(reqs)
